@@ -31,8 +31,6 @@ _FLOAT_DIGITS = 9
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return f"{x:.{_FLOAT_DIGITS}g}"
 
 
@@ -99,14 +97,15 @@ def _emit(payload: str, out_path):
 
 def region_to_csv(grid: RegionGrid) -> str:
     """Serialize a scan: header plus n*n rows, b varying fastest, LF endings."""
-    lines = ["b_q,sigma2_q,feasible,lambda_max,entangled"]
-    for i in range(grid.b_q.size):
-        lines.append(
-            f"{_fmt(float(grid.b_q[i]))},{_fmt(float(grid.sigma2_q[i]))},"
-            f"{int(grid.feasible[i])},{_fmt(float(grid.lambda_max[i]))},"
-            f"{int(grid.entangled[i])}"
-        )
-    return "\n".join(lines) + "\n"
+    n = grid.n
+    b_text = [_fmt(x) for x in grid.b_q[:n].tolist()]
+    s2_text = [_fmt(x) for x in grid.sigma2_q[::n].tolist()]
+    rows = ["b_q,sigma2_q,feasible,lambda_max,entangled\n"]
+    grids = (a.reshape(n, n) for a in (grid.feasible, grid.lambda_max, grid.entangled))
+    for s2, f_row, lam_row, e_row in zip(s2_text, *grids):
+        cells = zip(b_text, f_row.tolist(), lam_row.tolist(), e_row.tolist())
+        rows.append("".join([f"{b},{s2},{int(f)},{_fmt(x)},{int(e)}\n" for b, f, x, e in cells]))
+    return "".join(rows)
 
 
 def _infer_payload(q, b, s2):
@@ -153,8 +152,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    grid = scan_region(args.q, args.grid, workers=args.threads)
-    _emit(region_to_csv(grid), args.out)
+    _emit(region_to_csv(scan_region(args.q, args.grid, workers=args.threads)), args.out)
     return 0
 
 
@@ -263,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--grid", type=int, default=100, help="cells per axis (>= 2)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: available parallelism)")
+                   help="has no effect, accepted for compatibility (the scan is vectorised)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_scan)
 

@@ -8,15 +8,13 @@ independent cross-check for arbitrary two-qubit states.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-import os
 
 import numpy as np
 
-from .errors import EmptyGrid, QOutOfDomain, UncertaintyViolated
+from .errors import EmptyGrid
 from .bell import B_MAX
-from .inference import InferredState, infer_state, validate_constraints
+from .inference import InferredState, infer_spectra
 from .smallmat import as_matrix, hermitian_eigen, partial_transpose
 
 #: verdict margins smaller than this count as a boundary tie
@@ -30,7 +28,7 @@ class Verdict:
 
 
 def criterion_verdict(s: InferredState) -> Verdict:
-    """Largest-eigenvalue criterion: entangled iff lambda_max > 1/2 (strict)."""
+    """Largest-eigenvalue criterion: entangled iff lambda_max > 1/2 (strict); takes arrays too."""
     margin = s.lambda_max - 0.5
     return Verdict(entangled=margin > MARGIN_TOL, margin=margin)
 
@@ -64,47 +62,20 @@ class RegionGrid:
     entangled: np.ndarray
 
 
-def _scan_cell(q, b, s2):
-    try:
-        state = infer_state(validate_constraints(q, b, s2))
-    except UncertaintyViolated:
-        return False, float("nan"), False
-    v = criterion_verdict(state)
-    return True, state.lambda_max, v.entangled
-
-
 def scan_region(q: float, n: int, workers: int | None = None) -> RegionGrid:
     """Uniform n x n scan of b in [0, 2*sqrt(2)] by sigma2 in [0, 8].
 
-    Rows are assembled in deterministic cell order whatever the worker
-    count, so repeated scans are byte-identical.
+    The scan is one vectorised pass of infer_spectra, so repeated scans are
+    byte-identical; workers is accepted for compatibility and has no effect.
     """
-    if not q > 0.0:
-        raise QOutOfDomain(f"entropic index must satisfy q > 0, got q={q}")
     if n < 2:
         raise ValueError(f"grid resolution must be at least 2, got {n}")
-    b_axis = np.linspace(0.0, B_MAX, n)
-    s2_axis = np.linspace(0.0, 8.0, n)
-    s2_grid, b_grid = np.meshgrid(s2_axis, b_axis, indexing="ij")
-    b_flat = b_grid.ravel()
-    s2_flat = s2_grid.ravel()
-
-    def scan_row(j):
-        return [_scan_cell(q, b_axis[i], s2_axis[j]) for i in range(n)]
-
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(scan_row, range(n)))
-    else:
-        rows = [scan_row(j) for j in range(n)]
-    cells = [cell for row in rows for cell in row]
-    feasible = np.array([c[0] for c in cells], dtype=bool)
-    lam = np.array([c[1] for c in cells], dtype=float)
-    ent = np.array([c[2] for c in cells], dtype=bool)
-    return RegionGrid(q=q, n=n, b_q=b_flat, sigma2_q=s2_flat,
-                      feasible=feasible, lambda_max=lam, entangled=ent)
+    s2_grid, b_grid = np.meshgrid(np.linspace(0.0, 8.0, n), np.linspace(0.0, B_MAX, n),
+                                  indexing="ij")
+    batch = infer_spectra(q, b_grid.ravel(), s2_grid.ravel())
+    return RegionGrid(q=q, n=n, b_q=b_grid.ravel(), sigma2_q=s2_grid.ravel(),
+                      feasible=batch.feasible, lambda_max=batch.lambda_max,
+                      entangled=criterion_verdict(batch).entangled)
 
 
 def area_fraction(g: RegionGrid) -> float:

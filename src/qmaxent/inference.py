@@ -143,11 +143,6 @@ class InferredState:
         return max(self.eig_phi_plus, self.eig_deg)
 
 
-def _root_q(w: float, q: float) -> float:
-    """w**(1/q) with the support convention 0**(1/q) = 0."""
-    return 0.0 if w <= 0.0 else math.exp(math.log(w) / q)
-
-
 def infer_state(c: ConstraintSet) -> InferredState:
     """Evaluate the closed-form spectrum, normalizer and c_q for the data.
 
@@ -164,17 +159,69 @@ def infer_state(c: ConstraintSet) -> InferredState:
             eig_phi_plus=w.w_plus, eig_psi_minus=w.w_minus, eig_deg=w.w_zero,
             Z_q=math.exp(s1), c_q=1.0,
         )
-    yp = _root_q(w.w_plus, q)
-    ym = _root_q(w.w_minus, q)
-    y0 = _root_q(w.w_zero, q)
+    # roots relative to the largest (weight >= 1/4) cannot all underflow as q -> 0
+    top = math.log(max(w.w_plus, w.w_minus, w.w_zero)) / q
+    yp, ym, y0 = [math.exp(math.log(x) / q - top) if x > 0.0 else 0.0
+                  for x in (w.w_plus, w.w_minus, w.w_zero)]
     y_norm = yp + ym + 2.0 * y0
-    ln_y = math.log(y_norm)
+    ln_y = top + math.log(y_norm)
     return InferredState(
         constraints=c, weights=w,
         eig_phi_plus=yp / y_norm, eig_psi_minus=ym / y_norm, eig_deg=y0 / y_norm,
         Z_q=math.exp(q / (q - 1.0) * ln_y),
         c_q=math.exp(-q * ln_y),
     )
+
+
+@dataclass(frozen=True)
+class SpectrumBatch:
+    """infer_state over arrays of data at one q, with its entropy S_q; NaN where infeasible."""
+
+    feasible: np.ndarray
+    eig_phi_plus: np.ndarray
+    eig_psi_minus: np.ndarray
+    eig_deg: np.ndarray
+    Z_q: np.ndarray
+    c_q: np.ndarray
+    S_q: np.ndarray
+    lambda_max: np.ndarray
+
+
+def infer_spectra(q: float, b_q, sigma2_q) -> SpectrumBatch:
+    """infer_state in one numpy pass over arrays of (b_q, sigma2_q), agreeing to a few ulp.
+
+    Cells that validate_constraints would reject are masked, not raised; clamps,
+    the Gibbs branch and the max-shifted log-domain roots are those of infer_state.
+    """
+    if not (q > 0.0) or not math.isfinite(q):
+        raise QOutOfDomain(f"entropic index must satisfy q > 0, got q={q}")
+    b, s2 = np.asarray(b_q, dtype=float), np.asarray(sigma2_q, dtype=float)
+    t = B_MAX * b
+    # NaN and infinite data fail at least one of these comparisons
+    feasible = ((b >= -VALIDATION_TOL) & (b <= B_MAX + VALIDATION_TOL)
+                & (s2 <= SIGMA_MAX + VALIDATION_TOL) & (s2 - t >= -VALIDATION_TOL))
+    w = np.stack([(s2 + t) / 16.0, (s2 - t) / 16.0, (8.0 - s2) / 16.0])
+    w[(w > -CLAMP_TOL) & (w < 0.0)] = 0.0
+    w[(w > 1.0) & (w < 1.0 + CLAMP_TOL)] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_w = np.log(w, out=np.full_like(w, -np.inf), where=w > 0.0)  # -inf off the support
+        if abs(q - 1.0) < Q_ONE_SEAM:
+            xlogx = np.where(w > 0.0, w * log_w, 0.0)
+            eig, s_q = w, -(xlogx[0] + xlogx[1] + xlogx[2] + xlogx[2])
+            z, c_q = np.exp(s_q), np.ones_like(s_q)
+        else:
+            log_w /= q
+            top = log_w.max(axis=0)
+            eig = np.exp(log_w - top, out=log_w)
+            y_norm = eig[0] + eig[1] + 2.0 * eig[2]
+            eig /= y_norm
+            ln_y = top + np.log(y_norm)
+            z, c_q = np.exp(q / (q - 1.0) * ln_y), np.exp(-q * ln_y)
+            s_q = (c_q - 1.0) / (1.0 - q)
+    fields = (*eig, z, c_q, s_q, np.maximum(eig[0], eig[2]))
+    for x in fields:
+        x[~feasible] = np.nan
+    return SpectrumBatch(feasible, *fields)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError, QOutOfDomain, StencilOutOfDomain
+from .errors import ConstraintError, StencilOutOfDomain
 from .bell import B_MAX
 from .inference import (
     ConstraintSet,
     InferredState,
     Multipliers,
     Q_ONE_SEAM,
+    infer_spectra,
     infer_state,
     lagrange_multipliers,
     validate_constraints,
@@ -66,10 +67,6 @@ class LegendreReport:
     path_residual: float
 
 
-def _entropy_at(q, b, s2):
-    return entropy_of_state(infer_state(validate_constraints(q, b, s2)))
-
-
 def _point(q, b, s2):
     try:
         return infer_state(validate_constraints(q, b, s2))
@@ -92,20 +89,16 @@ def legendre_report(c: ConstraintSet, h: float = 1e-5) -> LegendreReport:
     if not 1e-8 <= h <= 1e-3:
         raise ValueError(f"finite-difference step must lie in [1e-8, 1e-3], got {h}")
     q, b, s2 = c.q, c.b_q, c.sigma2_q
-    center = _point(q, b, s2)
-    m = lagrange_multipliers(center)
-    for db, ds in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
-        _point(q, b + db, s2 + ds)
-    d_s_db = (_entropy_at(q, b + h, s2) - _entropy_at(q, b - h, s2)) / (2.0 * h)
-    d_s_ds2 = (_entropy_at(q, b, s2 + h) - _entropy_at(q, b, s2 - h)) / (2.0 * h)
+    m = lagrange_multipliers(_point(q, b, s2))
+    s_bp, s_bm, s_sp, s_sm = [entropy_of_state(_point(q, b + db, s2 + ds))
+                              for db, ds in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))]
+    d_s_db, d_s_ds2 = (s_bp - s_bm) / (2.0 * h), (s_sp - s_sm) / (2.0 * h)
     rel_1 = abs(d_s_db - m.lambda_1) / max(abs(m.lambda_1), 1e-12)
     rel_2 = abs(d_s_ds2 - m.lambda_2) / max(abs(m.lambda_2), 1e-12)
 
     steps = 10
-    points = []
-    for k in range(steps + 1):
-        state = _point(q, b + k * h, s2 + k * h)
-        points.append((free_energy(state), b + k * h, s2 + k * h))
+    points = [(free_energy(_point(q, b + k * h, s2 + k * h)), b + k * h, s2 + k * h)
+              for k in range(steps + 1)]
     residual = 0.0
     for k in range(steps):
         t0, b0, s0 = points[k]
@@ -139,17 +132,8 @@ def purification_path_check(q: float, steps: int) -> PurificationPath:
     S_q = 0 exactly.  The fidelity recorded is the overlap with that target
     state, which is simply the phi_plus eigenvalue.
     """
-    if not q > 0.0:
-        raise QOutOfDomain(f"entropic index must satisfy q > 0, got q={q}")
     if steps < 2:
         raise ValueError(f"need at least 2 path steps, got {steps}")
     ts = np.linspace(1.0 / steps, 1.0, steps)
-    z_vals, s_vals, fid = [], [], []
-    for t in ts:
-        state = infer_state(validate_constraints(q, B_MAX * t, 8.0 * t))
-        z_vals.append(state.Z_q)
-        s_vals.append(entropy_of_state(state))
-        fid.append(state.eig_phi_plus)
-    return PurificationPath(
-        t=ts, Z_q=np.array(z_vals), S_q=np.array(s_vals), fidelity=np.array(fid)
-    )
+    batch = infer_spectra(q, B_MAX * ts, 8.0 * ts)
+    return PurificationPath(t=ts, Z_q=batch.Z_q, S_q=batch.S_q, fidelity=batch.eig_phi_plus)

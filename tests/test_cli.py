@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 
@@ -107,6 +108,24 @@ class TestScan:
         code = cli.run(["scan", "--q", "-1", "--grid", "8", "--out", str(target)])
         assert code == 3
         assert not target.exists()
+
+
+class TestSmallQ:
+    """At q = 1e-3 every unshifted root w**(1/q) underflows to zero."""
+
+    def test_infer_and_mutual(self, capsys):
+        for command in ("infer", "mutual"):
+            assert cli.run([command, "--q", "1e-3", "--b", "0", "--sigma2", "4", "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))
+
+    def test_scan_lambda_max_finite(self, tmp_path):
+        target = tmp_path / "region.csv"
+        assert cli.run(["scan", "--q", "1e-3", "--grid", "30", "--out", str(target)]) == 0
+        rows = [r.split(",") for r in target.read_text().strip().split("\n")[1:]]
+        feasible = [r for r in rows if r[2] == "1"]
+        assert len(feasible) == 30 * 31 // 2
+        assert all(math.isfinite(float(r[3])) for r in feasible)
 
 
 class TestMutual:

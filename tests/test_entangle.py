@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmaxent.bell import bell_projectors
+from qmaxent.bell import B_MAX, bell_projectors
 from qmaxent.entangle import (
     RegionGrid,
     area_fraction,
@@ -11,8 +11,16 @@ from qmaxent.entangle import (
     ppt_verdict,
     scan_region,
 )
-from qmaxent.errors import DimensionError, EmptyGrid, QOutOfDomain
-from qmaxent.inference import infer_state, to_density_matrix, validate_constraints
+from qmaxent.cli import region_to_csv
+from qmaxent.errors import (
+    DimensionError,
+    EmptyGrid,
+    QmaxentError,
+    QOutOfDomain,
+    UncertaintyViolated,
+)
+from qmaxent.inference import infer_spectra, infer_state, to_density_matrix, validate_constraints
+from qmaxent.thermo import entropy_of_state
 
 
 def inferred(q, b=math.sqrt(2.0), s2=6.0):
@@ -94,6 +102,75 @@ class TestScanRegion:
             scan_region(0.0, 10)
         with pytest.raises(ValueError):
             scan_region(2.0, 1)
+
+
+#: q values of the kernel-vs-scalar comparison: both Gibbs-seam sides, the
+#: small-q regime where unshifted roots underflow, and a nearly flat large q
+KERNEL_QS = (1e-3, 0.1, 0.5, 0.9, 1.0, 1.0 + 1e-7, 1.5, 2.0, 5.0, 600.0)
+
+
+def _per_cell_csv(grid):
+    """The CSV as formatted one cell at a time, the reference for region_to_csv."""
+    def fmt(x):
+        return "nan" if math.isnan(x) else f"{x:.9g}"
+
+    lines = ["b_q,sigma2_q,feasible,lambda_max,entangled"]
+    for i in range(grid.b_q.size):
+        lines.append(f"{fmt(float(grid.b_q[i]))},{fmt(float(grid.sigma2_q[i]))},"
+                     f"{int(grid.feasible[i])},{fmt(float(grid.lambda_max[i]))},"
+                     f"{int(grid.entangled[i])}")
+    return "\n".join(lines) + "\n"
+
+
+class TestKernelAgainstScalarPath:
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_scan_matches_per_cell_inference(self, q):
+        g = scan_region(q, 40)
+        batch = infer_spectra(q, g.b_q, g.sigma2_q)
+        for i in range(g.b_q.size):
+            try:
+                state = infer_state(validate_constraints(q, float(g.b_q[i]), float(g.sigma2_q[i])))
+            except UncertaintyViolated:
+                assert not g.feasible[i] and not g.entangled[i]
+                assert all(math.isnan(x[i]) for x in (g.lambda_max, batch.eig_phi_plus,
+                                                      batch.Z_q, batch.c_q, batch.S_q))
+                continue
+            assert g.feasible[i]
+            assert g.entangled[i] == criterion_verdict(state).entangled
+            assert abs(g.lambda_max[i] - state.lambda_max) <= 4 * np.spacing(state.lambda_max)
+            scalar = (state.eig_phi_plus, state.eig_psi_minus, state.eig_deg,
+                      state.Z_q, state.c_q, entropy_of_state(state))
+            vector = (batch.eig_phi_plus[i], batch.eig_psi_minus[i], batch.eig_deg[i],
+                      batch.Z_q[i], batch.c_q[i], batch.S_q[i])
+            assert np.allclose(vector, scalar, rtol=1e-11, atol=1e-300), (i, vector, scalar)
+        assert np.array_equal(batch.feasible, g.feasible)
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_csv_matches_per_cell_formatting(self, q):
+        g = scan_region(q, 40)
+        assert region_to_csv(g) == _per_cell_csv(g)
+
+    def test_mask_follows_every_domain_inequality(self):
+        tol = 1e-12
+        cases = [  # (b_q, sigma2_q, accepted by validate_constraints)
+            (-2 * tol, 4.0, False), (-0.5 * tol, 4.0, True),
+            (B_MAX + 0.5 * tol, 8.0 + 0.9 * tol, True), (B_MAX + 2 * tol, 8.0, False),
+            (1.0, 8.0 + 0.5 * tol, True), (1.0, 8.0 + 2 * tol, False), (1.0, 2.0, False),
+            (math.nan, 4.0, False), (math.inf, 8.0, False), (0.0, -math.inf, False),
+        ]
+        for b, s2, accepted in cases:
+            if accepted:
+                validate_constraints(2.0, b, s2)
+            else:
+                with pytest.raises(QmaxentError):
+                    validate_constraints(2.0, b, s2)
+        b, s2, accepted = zip(*cases)
+        assert infer_spectra(2.0, np.array(b), np.array(s2)).feasible.tolist() == list(accepted)
+
+    def test_rejects_bad_q(self):
+        for q in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(QOutOfDomain):
+                infer_spectra(q, np.zeros(2), np.zeros(2))
 
 
 class TestAreaFraction:

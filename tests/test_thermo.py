@@ -6,7 +6,13 @@ import pytest
 from conftest import B_MAX
 from qmaxent.bell import bell_projectors
 from qmaxent.errors import BoundaryDivergence, StencilOutOfDomain
-from qmaxent.inference import infer_state, to_density_matrix, validate_constraints
+import qmaxent.thermo as thermo
+from qmaxent.inference import (
+    infer_state,
+    lagrange_multipliers,
+    to_density_matrix,
+    validate_constraints,
+)
 from qmaxent.measures import tsallis_entropy
 from qmaxent.thermo import (
     entropy_of_state,
@@ -88,6 +94,36 @@ class TestLegendreReport:
             legendre_report(validate_constraints(2.0, 0.0, 6.0), h=1e-5)
         with pytest.raises(StencilOutOfDomain):
             legendre_report(validate_constraints(2.0, 1.0, B_MAX + 5e-6), h=1e-5)
+
+    def test_builds_each_state_once(self, monkeypatch):
+        # centre + four stencil points + eleven path points; values recorded
+        # when the stencil states were built twice agree to FD rounding
+        recorded = {"dS_db_fd": -0.04356588188536569, "dS_dsigma2_fd": -0.015402865249924956,
+                    "lambda_1": -0.04356588187363552, "lambda_2": -0.01540286525060986}
+        q, b, s2, h = 2.0, math.sqrt(2.0), 6.0, 1e-5
+        real = thermo.infer_state
+        calls = []
+
+        def counting(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(thermo, "infer_state", counting)
+        r = legendre_report(validate_constraints(q, b, s2), h=h)
+        assert len(calls) == 16
+
+        def entropy(db, ds):
+            return entropy_of_state(real(validate_constraints(q, b + db, s2 + ds)))
+
+        m = lagrange_multipliers(real(validate_constraints(q, b, s2)))
+        assert r.dS_db_fd == (entropy(h, 0.0) - entropy(-h, 0.0)) / (2.0 * h)
+        assert r.dS_dsigma2_fd == (entropy(0.0, h) - entropy(0.0, -h)) / (2.0 * h)
+        assert (r.lambda_1, r.lambda_2) == (m.lambda_1, m.lambda_2)
+        assert r.rel_err_1 == abs(r.dS_db_fd - m.lambda_1) / abs(m.lambda_1)
+        assert r.rel_err_2 == abs(r.dS_dsigma2_fd - m.lambda_2) / abs(m.lambda_2)
+        for name, value in recorded.items():
+            assert abs(getattr(r, name) - value) <= 1e-9 * abs(value), name
+        assert r.path_residual < 1e-6
 
     def test_step_validation(self):
         c = validate_constraints(2.0, 1.0, 6.0)
