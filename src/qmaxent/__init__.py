@@ -12,7 +12,6 @@ from .errors import (
     QOutOfDomain,
     QmaxentError,
     SigmaOutOfRange,
-    SingularMatrix,
     SingularReference,
     StencilOutOfDomain,
     SupportMismatch,
@@ -24,21 +23,16 @@ from .smallmat import (
     kron,
     partial_trace,
     partial_transpose,
-    psd_power,
     validate_density_matrix,
 )
 from .bell import (
     B_MAX,
-    BellBasis,
     ChshOperators,
-    PauliSet,
-    bell_basis,
     bell_projectors,
     bell_state,
     chsh_operator,
     chsh_squared,
     pauli,
-    pauli_set,
 )
 from .inference import (
     ConstraintSet,

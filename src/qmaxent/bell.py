@@ -38,17 +38,6 @@ def pauli(axis: str) -> np.ndarray:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
 
 
-@dataclass(frozen=True)
-class PauliSet:
-    sigma_x: np.ndarray
-    sigma_y: np.ndarray
-    sigma_z: np.ndarray
-
-
-def pauli_set() -> PauliSet:
-    return PauliSet(pauli("x"), pauli("y"), pauli("z"))
-
-
 def bell_state(label: str) -> np.ndarray:
     """One of the four maximally entangled two-qubit states.
 
@@ -69,19 +58,6 @@ def bell_state(label: str) -> np.ndarray:
         raise ValueError(f"unknown Bell label {label!r}; expected one of {_BELL_LABELS}") from None
     v.setflags(write=False)
     return v
-
-
-@dataclass(frozen=True)
-class BellBasis:
-    phi_plus: np.ndarray
-    phi_minus: np.ndarray
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
-
-
-@lru_cache(maxsize=1)
-def bell_basis() -> BellBasis:
-    return BellBasis(*(bell_state(lab) for lab in _BELL_LABELS))
 
 
 def projector(v) -> np.ndarray:

@@ -17,10 +17,6 @@ class NotHermitian(QmaxentError):
     """Operator expected to be Hermitian is not, within tolerance."""
 
 
-class SingularMatrix(QmaxentError):
-    """A negative matrix power was requested for a singular matrix."""
-
-
 class ConstraintError(QmaxentError):
     """Base class for constraint-set validation failures."""
 

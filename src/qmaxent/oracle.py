@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import BudgetExhausted
-from .bell import B_MAX, bell_basis, chsh_operator
+from .bell import B_MAX, bell_state, chsh_operator
 from .inference import ConstraintSet, InferredState, Q_ONE_SEAM, escort_weights, infer_state
 
 #: golden ratio section for the 1-D search
@@ -195,9 +195,8 @@ def _escort_pair(rho, q, b_op, b2_op):
 
 def _closed_form_start(c: ConstraintSet):
     state = infer_state(c)
-    basis = bell_basis()
     vectors = np.column_stack(
-        [basis.phi_plus, basis.psi_minus, basis.phi_minus, basis.psi_plus]
+        [bell_state(lab) for lab in ("phi_plus", "psi_minus", "phi_minus", "psi_plus")]
     )
     lam = np.asarray(state.eigenvalues(), dtype=float)
     return vectors @ np.diag(np.sqrt(lam))

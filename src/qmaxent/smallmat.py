@@ -1,10 +1,8 @@
 """Dense complex linear algebra for 2x2 and 4x4 operators.
 
 Everything a two-qubit problem needs and nothing more: Kronecker products,
-partial trace and partial transpose, Hermitian eigendecompositions with a
-deterministic eigenvector convention, and fractional powers of positive
-semi-definite matrices.  All functions are pure and never mutate their
-arguments.
+partial trace and partial transpose, and Hermitian eigendecompositions.
+All functions are pure and never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotHermitian, SingularMatrix
+from .errors import DimensionError, NotHermitian
 
 HERMITIAN_TOL = 1e-10
 DM_TOL = 1e-12
@@ -98,42 +96,11 @@ def partial_transpose(m, subsystem: str = "B") -> np.ndarray:
     raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the first significant component of every column real positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size:
-            pivot = col[idx[0]]
-            out[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return out
-
-
-def _sort_degenerate(values: np.ndarray, vectors: np.ndarray):
-    """Lexicographically order eigenvector columns inside degenerate groups."""
-    order = list(range(values.size))
-    start = 0
-    while start < values.size:
-        stop = start + 1
-        while stop < values.size and values[stop] - values[start] <= 1e-10:
-            stop += 1
-        if stop - start > 1:
-            block = sorted(
-                order[start:stop],
-                key=lambda k: tuple(np.round(np.concatenate(
-                    [vectors[:, k].real, vectors[:, k].imag]), 10)),
-            )
-            order[start:stop] = block
-        start = stop
-    return values, vectors[:, order]
-
-
 def hermitian_eigen(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix with deterministic output.
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Eigenvalues ascend; eigenvector phases are fixed and degenerate columns
-    are ordered lexicographically so that equal inputs give equal outputs.
+    Eigenvectors are those ``np.linalg.eigh`` returns; their phases, and
+    their order inside a degenerate eigenspace, follow no convention.
     Raises :class:`NotHermitian` when the input deviates from Hermiticity
     by more than 1e-10; smaller deviations are symmetrized away.
     """
@@ -142,26 +109,4 @@ def hermitian_eigen(m) -> Spectrum:
         raise NotHermitian("matrix is not Hermitian to 1e-10")
     sym = 0.5 * (a + a.conj().T)
     values, vectors = np.linalg.eigh(sym)
-    values, vectors = _sort_degenerate(values, _fix_phases(vectors))
     return Spectrum(eigenvalues=values, eigenvectors=vectors)
-
-
-def psd_power(m, r: float) -> np.ndarray:
-    """Fractional power of a Hermitian PSD matrix via its spectrum.
-
-    Zero eigenvalues map to zero for r >= 0 (support convention), so e.g.
-    any positive power of a projector is the projector itself.  Negative
-    powers require the matrix to be nonsingular.
-    """
-    spec = hermitian_eigen(m)
-    lam = spec.eigenvalues.copy()
-    if lam.min() < -SUPPORT_TOL:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {lam.min()}")
-    lam[np.abs(lam) <= SUPPORT_TOL] = 0.0
-    if r < 0 and np.any(lam == 0.0):
-        raise SingularMatrix("negative power of a singular matrix")
-    powered = np.zeros_like(lam)
-    pos = lam > 0.0
-    powered[pos] = lam[pos] ** r
-    v = spec.eigenvectors
-    return v @ np.diag(powered) @ v.conj().T

@@ -3,13 +3,11 @@ import pytest
 
 from qmaxent.bell import (
     B_MAX,
-    bell_basis,
     bell_projectors,
     bell_state,
     chsh_operator,
     chsh_squared,
     pauli,
-    pauli_set,
 )
 from qmaxent.smallmat import hermitian_eigen, partial_trace
 
@@ -23,8 +21,7 @@ class TestPauli:
         assert np.array_equal(pauli("y"), [[0, -1j], [1j, 0]])
 
     def test_involutions_traceless_hermitian(self):
-        ps = pauli_set()
-        for m in (ps.sigma_x, ps.sigma_y, ps.sigma_z):
+        for m in (pauli("x"), pauli("y"), pauli("z")):
             assert np.allclose(m @ m, np.eye(2))
             assert abs(np.trace(m)) == 0
             assert np.array_equal(m, m.conj().T)
@@ -41,8 +38,9 @@ class TestBellStates:
         assert np.allclose(bell_state("psi_minus"), [0, s, -s, 0])
 
     def test_orthonormal(self):
-        basis = bell_basis()
-        mat = np.column_stack([basis.phi_plus, basis.phi_minus, basis.psi_plus, basis.psi_minus])
+        mat = np.column_stack(
+            [bell_state(lab) for lab in ("phi_plus", "phi_minus", "psi_plus", "psi_minus")]
+        )
         assert np.max(np.abs(mat.conj().T @ mat - I4)) < 1e-12
 
     def test_completeness(self):

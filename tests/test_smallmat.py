@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian
-from qmaxent.bell import chsh_operator, pauli
-from qmaxent.errors import DimensionError, NotHermitian, SingularMatrix
+from qmaxent.bell import chsh_operator, chsh_squared, pauli
+from qmaxent.errors import DimensionError, NotHermitian
+from qmaxent.inference import infer_state, to_density_matrix, validate_constraints
 from qmaxent.smallmat import (
     hermitian_eigen,
     kron,
     partial_trace,
     partial_transpose,
-    psd_power,
     validate_density_matrix,
 )
 
@@ -99,9 +99,14 @@ class TestHermitianEigen:
         assert np.allclose(hermitian_eigen(pauli("x")).eigenvalues, [-1, 1], atol=1e-14)
 
     def test_reconstruction_on_random_matrices(self, rng):
+        # random spectra are distinct; the extra inputs are degenerate, and the
+        # partial transposes of inferred states have a doubly degenerate pair
+        degenerate = [I4, chsh_squared(), partial_transpose(PHI_PLUS, "B")] + [
+            partial_transpose(to_density_matrix(infer_state(validate_constraints(q, b, s2))), "B")
+            for q, b, s2 in ((0.5, 1.0, 6.0), (2.0, np.sqrt(2.0), 6.0), (5.0, 2.0, 7.0))
+        ]
         worst = 0.0
-        for k in range(1000):
-            m = random_hermitian(rng, 4 if k % 2 else 2)
+        for m in [random_hermitian(rng, 4 if k % 2 else 2) for k in range(1000)] + degenerate:
             spec = hermitian_eigen(m)
             worst = max(worst, np.max(np.abs(spec.reconstruct() - m)))
             v = spec.eigenvectors
@@ -119,38 +124,6 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-class TestPsdPower:
-    def test_scalar_matrix(self):
-        assert np.allclose(psd_power(I4 / 4, 2.0), I4 / 16, atol=1e-15)
-
-    def test_diagonal_square_root(self):
-        out = psd_power(np.diag([0.25, 0.75]).astype(complex), 0.5)
-        assert np.allclose(np.diag(out).real, [0.5, np.sqrt(0.75)], atol=1e-12)
-
-    def test_projector_fixed_point(self):
-        for r in (0.3, 1.0, 2.5):
-            assert np.max(np.abs(psd_power(PHI_PLUS, r) - PHI_PLUS)) < 1e-12
-
-    def test_identity_power(self, rng):
-        m = random_density(rng, 4)
-        assert np.max(np.abs(psd_power(m, 1.0) - m)) < 1e-12
-
-    def test_power_composition(self, rng):
-        for _ in range(25):
-            m = random_density(rng, 4)
-            for a, b in ((0.5, 2.0), (0.3, 1.7), (2.0, 2.0)):
-                lhs = psd_power(psd_power(m, a), b)
-                assert np.max(np.abs(lhs - psd_power(m, a * b))) < 1e-10
-
-    def test_negative_power_of_singular(self):
-        with pytest.raises(SingularMatrix):
-            psd_power(PHI_PLUS, -1.0)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            psd_power(np.diag([1.0, -1.0]).astype(complex), 0.5)
 
 
 class TestValidateDensityMatrix:

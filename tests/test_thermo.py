@@ -96,8 +96,9 @@ class TestLegendreReport:
             legendre_report(validate_constraints(2.0, 1.0, B_MAX + 5e-6), h=1e-5)
 
     def test_builds_each_state_once(self, monkeypatch):
-        # centre + four stencil points + eleven path points; values recorded
-        # when the stencil states were built twice agree to FD rounding
+        # centre (reused as path point 0) + four stencil points + ten more path
+        # points; values recorded when the stencil states were built twice agree
+        # to FD rounding
         recorded = {"dS_db_fd": -0.04356588188536569, "dS_dsigma2_fd": -0.015402865249924956,
                     "lambda_1": -0.04356588187363552, "lambda_2": -0.01540286525060986}
         q, b, s2, h = 2.0, math.sqrt(2.0), 6.0, 1e-5
@@ -110,7 +111,7 @@ class TestLegendreReport:
 
         monkeypatch.setattr(thermo, "infer_state", counting)
         r = legendre_report(validate_constraints(q, b, s2), h=h)
-        assert len(calls) == 16
+        assert len(calls) == 15
 
         def entropy(db, ds):
             return entropy_of_state(real(validate_constraints(q, b + db, s2 + ds)))
