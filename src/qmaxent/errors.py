@@ -53,6 +53,10 @@ class SupportMismatch(QmaxentError):
     """State support is not contained in the reference state support."""
 
 
+class FloatRangeExceeded(QmaxentError):
+    """A result that is finite in exact arithmetic lies beyond the double-precision range."""
+
+
 class StencilOutOfDomain(QmaxentError):
     """A finite-difference stencil point left the feasible data domain."""
 

@@ -15,14 +15,21 @@ lambda_i**q / sum_j lambda_j**q of the optimal state, so the constraints
 are reproduced identically.  The partition normalizer satisfies
 Y = Z**((q-1)/q), and c_q = Tr rho**q = Z**(1-q) = Y**(-q).
 
-Everything here is evaluated through logarithms of the weights, which is
-stable for q near 1 where the exponents 1/(1-q) blow up.  The Gibbs /
-von Neumann limit gets a dedicated branch for |q - 1| < 1e-6.
+Everything here is evaluated through logarithms of the weights and the
+q-deformed pair qexpm1(a, t) = expm1(a*t)/t and qlog1p(x, t) = log1p(t*x)/t,
+which tend to a and x as t -> 0.  With a_i = ln w_i, a* = max_i a_i and
+e = (1-q)/q,
+
+    ln Z_q = -(a* + qlog1p(sum_i w_i*qexpm1(a_i - a*, e), e))
+    S_q    = qexpm1(ln Z_q, 1-q),    c_q = exp((1-q)*ln Z_q)
+
+so the Gibbs / von Neumann limit q -> 1 is continuous and needs no branch.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,19 +38,34 @@ from .bell import B_MAX, bell_projectors
 from .errors import (
     BOutOfRange,
     BoundaryDivergence,
+    FloatRangeExceeded,
     NegativeBracket,
     QOutOfDomain,
     SigmaOutOfRange,
     UncertaintyViolated,
 )
 
-#: width of the Gibbs-limit branch around q = 1
-Q_ONE_SEAM = 1e-6
 #: closed inequalities in the data domain are enforced with this slack
 VALIDATION_TOL = 1e-12
 #: floating-point dust from boundary data smaller than this is clamped away
 CLAMP_TOL = 1e-13
 SIGMA_MAX = 8.0
+
+
+def qexpm1(a, t):
+    """expm1(a*t)/t on floats or arrays, continuous through t = 0 where it equals a."""
+    if t == 0.0:
+        return a
+    x = a * t
+    return (math.expm1(x) if isinstance(x, float) else np.expm1(x)) / t
+
+
+def qlog1p(x, t):
+    """log1p(t*x)/t on floats or arrays, continuous through t = 0 where it equals x."""
+    if t == 0.0:
+        return x
+    y = x * t
+    return (math.log1p(y) if isinstance(y, float) else np.log1p(y)) / t
 
 
 @dataclass(frozen=True)
@@ -143,33 +165,43 @@ class InferredState:
         return max(self.eig_phi_plus, self.eig_deg)
 
 
+def escort_map(w, q: float):
+    """The closed form on escort weights w (floats summing to one): (roots, ln Z_q).
+
+    The eigenvalues are roots / sum(roots), the roots w_i**(1/q) relative to the largest so
+    that they cannot all underflow.  For q > 1 the sum in ln Z_q is taken as its value
+    exp(a*) * sum_i root_i*qexpm1(a_i - a*, -e), which subnormal w_i cannot overflow.
+    """
+    e = (1.0 - q) / q
+    top = math.log(max(w))
+    roots, x_sum = [], 0.0
+    for x in w:
+        if x > 0.0:
+            a = math.log(x)
+            y = math.exp(a / q - top / q)
+            x_sum += (x if e >= 0.0 else y) * qexpm1(a - top, abs(e))
+        else:
+            y = 0.0
+        roots.append(y)
+    if e < 0.0:
+        x_sum *= math.exp(top)
+    return roots, -(top + qlog1p(x_sum, e))
+
+
 def infer_state(c: ConstraintSet) -> InferredState:
     """Evaluate the closed-form spectrum, normalizer and c_q for the data.
 
-    For |q - 1| < 1e-6 the Gibbs branch is used: the eigenvalues equal the
-    escort weights, Z_q = exp(S) with S the von Neumann entropy of the
-    weights, and c_q = 1.
+    ln Z_q and c_q are the q-logarithm forms of the module docstring; at q = 1
+    the eigenvalues equal the weights and ln Z_q is their Gibbs entropy.
     """
     w = escort_weights(c)
     q = c.q
-    if abs(q - 1.0) < Q_ONE_SEAM:
-        s1 = -sum(x * math.log(x) for x in w.as_tuple() if x > 0.0)
-        return InferredState(
-            constraints=c, weights=w,
-            eig_phi_plus=w.w_plus, eig_psi_minus=w.w_minus, eig_deg=w.w_zero,
-            Z_q=math.exp(s1), c_q=1.0,
-        )
-    # roots relative to the largest (weight >= 1/4) cannot all underflow as q -> 0
-    top = math.log(max(w.w_plus, w.w_minus, w.w_zero)) / q
-    yp, ym, y0 = [math.exp(math.log(x) / q - top) if x > 0.0 else 0.0
-                  for x in (w.w_plus, w.w_minus, w.w_zero)]
+    (yp, ym, y0, _), ln_z = escort_map(w.as_tuple(), q)
     y_norm = yp + ym + 2.0 * y0
-    ln_y = top + math.log(y_norm)
     return InferredState(
         constraints=c, weights=w,
         eig_phi_plus=yp / y_norm, eig_psi_minus=ym / y_norm, eig_deg=y0 / y_norm,
-        Z_q=math.exp(q / (q - 1.0) * ln_y),
-        c_q=math.exp(-q * ln_y),
+        Z_q=math.exp(ln_z), c_q=math.exp((1.0 - q) * ln_z),
     )
 
 
@@ -191,7 +223,7 @@ def infer_spectra(q: float, b_q, sigma2_q) -> SpectrumBatch:
     """infer_state in one numpy pass over arrays of (b_q, sigma2_q), agreeing to a few ulp.
 
     Cells that validate_constraints would reject are masked, not raised; clamps,
-    the Gibbs branch and the max-shifted log-domain roots are those of infer_state.
+    the max-shifted log-domain roots and ln Z_q are those of escort_map.
     """
     if not (q > 0.0) or not math.isfinite(q):
         raise QOutOfDomain(f"entropic index must satisfy q > 0, got q={q}")
@@ -203,21 +235,21 @@ def infer_spectra(q: float, b_q, sigma2_q) -> SpectrumBatch:
     w = np.stack([(s2 + t) / 16.0, (s2 - t) / 16.0, (8.0 - s2) / 16.0])
     w[(w > -CLAMP_TOL) & (w < 0.0)] = 0.0
     w[(w > 1.0) & (w < 1.0 + CLAMP_TOL)] = 1.0
+    e = (1.0 - q) / q
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_w = np.log(w, out=np.full_like(w, -np.inf), where=w > 0.0)  # -inf off the support
-        if abs(q - 1.0) < Q_ONE_SEAM:
-            xlogx = np.where(w > 0.0, w * log_w, 0.0)
-            eig, s_q = w, -(xlogx[0] + xlogx[1] + xlogx[2] + xlogx[2])
-            z, c_q = np.exp(s_q), np.ones_like(s_q)
-        else:
-            log_w /= q
-            top = log_w.max(axis=0)
-            eig = np.exp(log_w - top, out=log_w)
-            y_norm = eig[0] + eig[1] + 2.0 * eig[2]
-            eig /= y_norm
-            ln_y = top + np.log(y_norm)
-            z, c_q = np.exp(q / (q - 1.0) * ln_y), np.exp(-q * ln_y)
-            s_q = (c_q - 1.0) / (1.0 - q)
+        top = log_w.max(axis=0)
+        x_sum = 0.0
+        # escort_map slot by slot over (plus, minus, zero, zero); the roots take over the weights
+        for wi, ai, m in zip(w, log_w, (1.0, 1.0, 2.0)):
+            y = np.exp(ai / q - top / q)
+            u = wi if e >= 0.0 else np.exp(top) * y
+            x_sum = x_sum + m * np.where(u > 0.0, u * qexpm1(ai - top, abs(e)), 0.0)
+            wi[:] = y
+        ln_z = -(top + qlog1p(x_sum, e))
+        eig = w
+        eig /= eig[0] + eig[1] + 2.0 * eig[2]
+        z, c_q, s_q = np.exp(ln_z), np.exp((1.0 - q) * ln_z), qexpm1(ln_z, 1.0 - q)
     fields = (*eig, z, c_q, s_q, np.maximum(eig[0], eig[2]))
     for x in fields:
         x[~feasible] = np.nan
@@ -238,17 +270,16 @@ class MuFactors:
 
 
 def mu_factors(s: InferredState) -> MuFactors:
-    q = s.q
-    if abs(q - 1.0) < Q_ONE_SEAM:
-        return MuFactors(mu_zero=1.0, mu_plus=1.0, mu_minus=1.0)
-    w = s.weights
-    e = (1.0 - q) / q
+    """(w * Z_q)**e, e = (1-q)/q, on each slot; a zero weight gives 0 for q < 1, else inf."""
+    e = (1.0 - s.q) / s.q
+    ln_z = math.log(s.Z_q)
 
     def mu(weight):
         if weight > 0.0:
-            return math.exp(e * math.log(weight * s.Z_q))
+            return math.exp(e * (math.log(weight) + ln_z))
         return 0.0 if e > 0.0 else math.inf
 
+    w = s.weights
     return MuFactors(mu_zero=mu(w.w_zero), mu_plus=mu(w.w_minus), mu_minus=mu(w.w_plus))
 
 
@@ -265,16 +296,14 @@ BOUNDARY_TOL = 1e-12
 def lagrange_multipliers(s: InferredState) -> Multipliers:
     """Multipliers conjugate to (b_q, sigma2_q), finite at interior points.
 
-    The generic expressions are
+    With e = (1-q)/q, beta = b_q/(2*sqrt(2)) and a_pm = ln(w_mp*Z_q), so mu_pm = exp(e*a_pm),
 
-        lambda_1 = c_q / (4*sqrt(2)*(1-q)) * (mu_plus - mu_minus)
-        lambda_2 = c_q / ((sigma2_q-8)*(1-q))
-                   * ( (1-beta)/2 * mu_plus + (1+beta)/2 * mu_minus - 1 )
+        lambda_1 = c_q * mu_minus * qexpm1(a_plus - a_minus, e) / (4*sqrt(2)*q)
+        lambda_2 = c_q / ((sigma2_q-8)*q)
+                   * ( (1-beta)/2 * qexpm1(a_plus, e) + (1+beta)/2 * qexpm1(a_minus, e) )
 
-    with beta = b_q / (2*sqrt(2)).  Both are evaluated through expm1 so the
-    1/(1-q) pole cancels exactly against the O(1-q) numerators; the q -> 1
-    limit branch writes the same quantities with logarithms.  They satisfy
-    lambda_1 = dS/db_q and lambda_2 = dS/dsigma2_q at fixed q.
+    with no pole at q = 1.  They satisfy lambda_1 = dS/db_q and
+    lambda_2 = dS/dsigma2_q at fixed q.
     """
     c = s.constraints
     w = s.weights
@@ -286,20 +315,13 @@ def lagrange_multipliers(s: InferredState) -> Multipliers:
         )
     q, b, s2 = c.q, c.b_q, c.sigma2_q
     beta = b / B_MAX
+    e = (1.0 - q) / q
     ln_z = math.log(s.Z_q)
     a_plus = math.log(w.w_minus) + ln_z   # exponent argument of mu_plus
     a_minus = math.log(w.w_plus) + ln_z   # exponent argument of mu_minus
-    if abs(q - 1.0) < Q_ONE_SEAM:
-        lam1 = (a_plus - a_minus) / (2.0 * B_MAX)
-        lam2 = (0.5 * (1.0 - beta) * a_plus + 0.5 * (1.0 + beta) * a_minus) / (s2 - 8.0)
-        return Multipliers(lambda_1=lam1, lambda_2=lam2)
-    e = (1.0 - q) / q
-    mu_minus = math.exp(e * a_minus)
-    # mu_plus - mu_minus = mu_minus * expm1(e*(a_plus - a_minus)), no cancellation
-    lam1 = s.c_q / (2.0 * B_MAX * (1.0 - q)) * mu_minus * math.expm1(e * (a_plus - a_minus))
-    bracket = (0.5 * (1.0 - beta) * math.expm1(e * a_plus)
-               + 0.5 * (1.0 + beta) * math.expm1(e * a_minus))
-    lam2 = s.c_q / ((s2 - 8.0) * (1.0 - q)) * bracket
+    lam1 = s.c_q * math.exp(e * a_minus) * qexpm1(a_plus - a_minus, e) / (2.0 * B_MAX * q)
+    bracket = 0.5 * (1.0 - beta) * qexpm1(a_plus, e) + 0.5 * (1.0 + beta) * qexpm1(a_minus, e)
+    lam2 = s.c_q * bracket / ((s2 - 8.0) * q)
     return Multipliers(lambda_1=lam1, lambda_2=lam2)
 
 
@@ -308,41 +330,40 @@ def fixed_point_residual(s: InferredState, m: Multipliers) -> float:
 
     The state must solve rho = Z**-1 * [ (1 + (1-q)/c_q * (l1*b + l2*s2)) I
     - (1-q)/c_q * (l1*B + l2*B**2) ]**(1/(1-q)).  On each Bell slot the
-    bracket is scalar; this evaluates those scalars from (lambda_1,
-    lambda_2, c_q), renormalizes, and returns the largest absolute
-    eigenvalue discrepancy against the stored spectrum.  The trace of the
-    rebuilt operator is the partition normalizer, so a small residual also
-    certifies Z_q.
+    bracket is scalar; this evaluates the q-logarithms of those scalars,
+    qlog1p((l1*b_i + l2*s2_i)/c_q, 1-q), from (lambda_1, lambda_2, c_q),
+    shifts them by their maximum, renormalizes, and returns the largest
+    absolute eigenvalue discrepancy against the stored spectrum.  The trace of
+    the rebuilt operator is the partition normalizer, so a small residual also
+    certifies Z_q.  Where c_q (and with it the multipliers) is below the
+    normal float range, as for large q, :class:`FloatRangeExceeded` is raised.
     """
     c = s.constraints
     q, b, s2 = c.q, c.b_q, c.sigma2_q
     l1, l2 = m.lambda_1, m.lambda_2
     if not (math.isfinite(l1) and math.isfinite(l2)):
         raise BoundaryDivergence("multipliers are not finite")
-    # bracket increments on the phi_plus / psi_minus / degenerate slots;
-    # the observable eigenvalues there are (+2sqrt2, -2sqrt2, 0) for B and
+    if s.c_q < sys.float_info.min:
+        raise FloatRangeExceeded(f"c_q = {s.c_q:.3g} at q={q} is below the normal float "
+                                 "range, and so are the multipliers that scale with it")
+    # log brackets on the phi_plus / psi_minus / degenerate slots; the
+    # observable eigenvalues there are (+2sqrt2, -2sqrt2, 0) for B and
     # (8, 8, 0) for B**2
-    if abs(q - 1.0) < Q_ONE_SEAM:
-        base = l1 * b + l2 * s2
-        exps = [base - (l1 * B_MAX + l2 * 8.0),
-                base - (-l1 * B_MAX + l2 * 8.0),
-                base]
-        vals = [math.exp(x) for x in exps]
-    else:
-        scale = (1.0 - q) / s.c_q
-        deltas = [scale * (l1 * (b - B_MAX) + l2 * (s2 - 8.0)),
-                  scale * (l1 * (b + B_MAX) + l2 * (s2 - 8.0)),
-                  scale * (l1 * b + l2 * s2)]
-        vals = []
-        for d in deltas:
-            bracket = 1.0 + d
-            # reconstruction of a vanishing bracket carries O(eps) sign dust;
-            # genuine negativity still raises
-            if bracket < -1e-12 or (bracket <= 0.0 and q > 1.0):
-                raise NegativeBracket(
-                    f"bracket argument {bracket} is not admissible for q={q}"
-                )
-            vals.append(math.exp(math.log1p(d) / (1.0 - q)) if bracket > 0.0 else 0.0)
+    logs = []
+    for x in (l1 * (b - B_MAX) + l2 * (s2 - 8.0),
+              l1 * (b + B_MAX) + l2 * (s2 - 8.0),
+              l1 * b + l2 * s2):
+        x /= s.c_q
+        bracket = 1.0 + x * (1.0 - q)
+        # reconstruction of a vanishing bracket carries O(eps) sign dust;
+        # genuine negativity still raises
+        if bracket < -1e-12 or (bracket <= 0.0 and q > 1.0):
+            raise NegativeBracket(
+                f"bracket argument {bracket} is not admissible for q={q}"
+            )
+        logs.append(qlog1p(x, 1.0 - q) if bracket > 0.0 else -math.inf)
+    top = max(logs)
+    vals = [math.exp(x - top) for x in logs]
     z_rebuilt = vals[0] + vals[1] + 2.0 * vals[2]
     rebuilt = [v / z_rebuilt for v in vals]
     stored = (s.eig_phi_plus, s.eig_psi_minus, s.eig_deg)

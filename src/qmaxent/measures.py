@@ -12,8 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, QOutOfDomain, SingularReference, SupportMismatch
-from .inference import InferredState, Q_ONE_SEAM
+from .errors import (
+    FloatRangeExceeded,
+    NotHermitian,
+    QOutOfDomain,
+    SingularReference,
+    SupportMismatch,
+)
+from .inference import InferredState, qexpm1
 from .smallmat import (
     SUPPORT_TOL,
     as_matrix,
@@ -28,19 +34,35 @@ def _spectrum_clamped(rho):
     return np.clip(lam, 0.0, None), vec
 
 
-def tsallis_entropy(rho, q: float) -> float:
-    """(Tr rho**q - 1)/(1 - q); the von Neumann entropy for |q - 1| < 1e-6.
+def _qexpm1_sum(weight, lam, log_ratio, order: float) -> float:
+    """sum of weight * lam * qexpm1(log_ratio, order - 1); FloatRangeExceeded past the float range.
 
-    Zero eigenvalues contribute nothing in either branch (0*log 0 = 0 and
-    0**q = 0 for q > 0).
+    Where (order-1)*log_ratio > 0 the term is taken as its value exp(ln lam + (order-1)*log_ratio)
+    * qexpm1(log_ratio, 1-order), since expm1 alone can overflow there on a small lam.
     """
+    t = order - 1.0
+    x = t * log_ratio
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.where(x > 0.0, np.exp(np.log(lam) + x) * qexpm1(log_ratio, -t),
+                         lam * qexpm1(log_ratio, t))
+        k = float((weight * terms).sum())
+    if not math.isfinite(k):
+        raise FloatRangeExceeded(f"sum of order {order} exceeds the float range")
+    return k
+
+
+def spectrum_entropy(lam, q: float) -> float:
+    """Tsallis entropy -sum_i lam_i*qexpm1(ln lam_i, q-1) of a spectrum, over lam_i > 0."""
+    pos = lam[lam > 0.0]
+    return -_qexpm1_sum(1.0, pos, np.log(pos), q)
+
+
+def tsallis_entropy(rho, q: float) -> float:
+    """(Tr rho**q - 1)/(1 - q), evaluated as spectrum_entropy: continuous through q = 1."""
     if not q > 0.0:
         raise QOutOfDomain(f"entropic index must satisfy q > 0, got q={q}")
     lam, _ = _spectrum_clamped(validate_density_matrix(rho))
-    if abs(q - 1.0) < Q_ONE_SEAM:
-        pos = lam[lam > 0.0]
-        return float(-(pos * np.log(pos)).sum())
-    return float(((lam ** q).sum() - 1.0) / (1.0 - q))
+    return spectrum_entropy(lam, q)
 
 
 def q_expectation(rho, obs, q: float) -> float:
@@ -68,10 +90,14 @@ def generalized_kl(rho, ref, q_prime: float) -> float:
     """Generalized Kullback-Leibler entropy of rho relative to ref.
 
     K = 1/(1-q') Tr[rho**q' (rho**(1-q') - ref**(1-q'))], which is
-    nonnegative and vanishes iff the states coincide.  Matrix powers of the
-    two (generally non-commuting) states are taken through two independent
-    eigendecompositions.  For |q' - 1| < 1e-6 the ordinary relative entropy
-    Tr[rho (log rho - log ref)] is returned.
+    nonnegative and vanishes iff the states coincide.  From two independent
+    eigendecompositions, (lam_i, v_i) of rho and (mu_j, w_j) of ref (the
+    states need not commute), over lam_i > 0 and the support of ref, it is
+
+        K = sum_ij |<v_i|w_j>|**2 * lam_i * qexpm1(ln lam_i - ln mu_j, q'-1)
+
+    which is the relative entropy Tr[rho (log rho - log ref)] at q' = 1.  A
+    finite K beyond the float range raises :class:`FloatRangeExceeded`.
 
     Domain restrictions: for q' > 1 the reference must be full rank
     (:class:`SingularReference` otherwise); for q' <= 1 the support of rho
@@ -83,8 +109,7 @@ def generalized_kl(rho, ref, q_prime: float) -> float:
     ref = validate_density_matrix(ref)
     lam, vec = _spectrum_clamped(rho)
     mu, wec = _spectrum_clamped(ref)
-    seam = abs(q_prime - 1.0) < Q_ONE_SEAM
-    if not seam and q_prime > 1.0:
+    if q_prime > 1.0:
         if mu.min() <= SUPPORT_TOL:
             raise SingularReference(
                 f"reference state is singular (min eigenvalue {mu.min():.3g}) "
@@ -92,20 +117,10 @@ def generalized_kl(rho, ref, q_prime: float) -> float:
             )
     elif _support_leak(rho, wec, mu) > SUPPORT_TOL:
         raise SupportMismatch("state support is not contained in the reference support")
-    if seam:
-        pos = lam > SUPPORT_TOL
-        own = float((lam[pos] * np.log(lam[pos])).sum())
-        log_mu = np.where(mu > SUPPORT_TOL, np.log(np.maximum(mu, SUPPORT_TOL)), 0.0)
-        log_ref = wec @ np.diag(log_mu) @ wec.conj().T
-        cross = float(np.real(np.trace(rho @ log_ref)))
-        return own - cross
-    # Tr[rho**q' rho**(1-q')] collapses to Tr rho on the support of rho
-    own = float(lam[lam > SUPPORT_TOL].sum())
-    mu_pow = np.where(mu > SUPPORT_TOL, np.maximum(mu, SUPPORT_TOL) ** (1.0 - q_prime), 0.0)
-    ref_pow = wec @ np.diag(mu_pow) @ wec.conj().T
-    rho_pow = vec @ np.diag(lam ** q_prime) @ vec.conj().T
-    cross = float(np.real(np.trace(rho_pow @ ref_pow)))
-    return (own - cross) / (1.0 - q_prime)
+    own, ref_own = lam > 0.0, mu > SUPPORT_TOL
+    overlap = np.abs(vec[:, own].conj().T @ wec[:, ref_own]) ** 2
+    log_ratio = np.log(lam[own])[:, None] - np.log(mu[ref_own])[None, :]
+    return _qexpm1_sum(overlap, lam[own][:, None], log_ratio, q_prime)
 
 
 def marginals(rho_ab):
@@ -133,25 +148,14 @@ def mutual_entropy_closed_form(state: InferredState, q_prime: float | None = Non
     Both marginals of every inferred state are maximally mixed, so the
     reference is I/4 and commutes with the state:
 
-        K = 1/(1-q') * (1 - 4**(q'-1) * Y**(-q') * sum_i w_i**(q'/q))
+        K = sum_i lambda_i * qexpm1(ln(4*lambda_i), q'-1)
 
-    with Y = sum_i w_i**(1/q) recovered from c_q = Y**(-q).  The divergence
-    order defaults to the state's own entropic index.
+    over the nonzero eigenvalues, the relative entropy to I/4 at q' = 1.  The
+    divergence order defaults to the state's own entropic index.
     """
     if q_prime is None:
         q_prime = state.q
     if not q_prime > 0.0:
         raise QOutOfDomain(f"divergence order must satisfy q' > 0, got {q_prime}")
-    q = state.q
-    w = state.weights.as_tuple()
-    if abs(q_prime - 1.0) < Q_ONE_SEAM:
-        lam = np.asarray(state.eigenvalues())
-        pos = lam[lam > 0.0]
-        return float(np.log(4.0) + (pos * np.log(pos)).sum())
-    if abs(q - 1.0) < Q_ONE_SEAM:
-        escort_sum = sum(x ** q_prime for x in w if x > 0.0)
-        y_factor = 1.0
-    else:
-        escort_sum = sum(math.exp(q_prime / q * math.log(x)) for x in w if x > 0.0)
-        y_factor = state.c_q ** (q_prime / q)  # Y**(-q') since c_q = Y**(-q)
-    return (1.0 - 4.0 ** (q_prime - 1.0) * y_factor * escort_sum) / (1.0 - q_prime)
+    lam = np.array([x for x in state.eigenvalues() if x > 0.0])
+    return _qexpm1_sum(1.0, lam, np.log(4.0 * lam), q_prime)

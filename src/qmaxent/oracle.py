@@ -27,7 +27,8 @@ from scipy.optimize import minimize
 
 from .errors import BudgetExhausted
 from .bell import B_MAX, bell_state, chsh_operator
-from .inference import ConstraintSet, InferredState, Q_ONE_SEAM, escort_weights, infer_state
+from .inference import ConstraintSet, InferredState, escort_map, escort_weights, infer_state, qexpm1
+from .measures import spectrum_entropy
 
 #: golden ratio section for the 1-D search
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -44,22 +45,6 @@ class OracleResult:
     constraint_residual: float
     iterations: int
     t_split: float | None = None
-
-
-def _entropy_of_escort(escort, q):
-    """Entropy of the state whose escort distribution is ``escort``."""
-    if abs(q - 1.0) < Q_ONE_SEAM:
-        return -sum(e * math.log(e) for e in escort if e > 0.0)
-    g = sum(math.exp(math.log(e) / q) for e in escort if e > 0.0)
-    return (g ** (-q) - 1.0) / (1.0 - q)
-
-
-def _state_of_escort(escort, q):
-    """Eigenvalues of the state with the given escort distribution."""
-    if abs(q - 1.0) < Q_ONE_SEAM:
-        return np.asarray(escort, dtype=float)
-    y = np.array([0.0 if e <= 0.0 else math.exp(math.log(e) / q) for e in escort])
-    return y / y.sum()
 
 
 def escort_residual(eigenvalues, c: ConstraintSet):
@@ -90,8 +75,9 @@ def maxent_split_oracle(c: ConstraintSet, tol: float = 1e-10) -> OracleResult:
     q = c.q
     free = 2.0 * w.w_zero
 
-    def entropy_at(t):
-        return _entropy_of_escort((w.w_plus, w.w_minus, t, free - t), q)
+    # S_q = qexpm1(ln Z_q, 1-q) rises with ln Z_q, which stays well scaled at large q
+    def log_partition_at(t):
+        return escort_map((w.w_plus, w.w_minus, t, free - t), q)[1]
 
     iterations = 0
     if free <= 0.0:
@@ -100,23 +86,23 @@ def maxent_split_oracle(c: ConstraintSet, tol: float = 1e-10) -> OracleResult:
         lo, hi = 0.0, free
         c1 = hi - _GOLDEN * (hi - lo)
         c2 = lo + _GOLDEN * (hi - lo)
-        f1, f2 = entropy_at(c1), entropy_at(c2)
+        f1, f2 = log_partition_at(c1), log_partition_at(c2)
         while hi - lo > tol:
             iterations += 1
             if f1 < f2:
                 lo, c1, f1 = c1, c2, f2
                 c2 = lo + _GOLDEN * (hi - lo)
-                f2 = entropy_at(c2)
+                f2 = log_partition_at(c2)
             else:
                 hi, c2, f2 = c2, c1, f1
                 c1 = hi - _GOLDEN * (hi - lo)
-                f1 = entropy_at(c1)
+                f1 = log_partition_at(c1)
         t_best = 0.5 * (lo + hi)
-    escort = (w.w_plus, w.w_minus, t_best, free - t_best)
-    lam = _state_of_escort(escort, q)
+    roots, ln_z = escort_map((w.w_plus, w.w_minus, t_best, free - t_best), q)
+    lam = np.asarray(roots) / sum(roots)
     return OracleResult(
         eigenvalues=lam,
-        achieved_entropy=_entropy_of_escort(escort, q),
+        achieved_entropy=qexpm1(ln_z, 1.0 - q),
         constraint_residual=escort_residual(lam, c),
         iterations=iterations,
         t_split=t_best,
@@ -144,31 +130,23 @@ def _objective_and_grad(x, q, b, s2, penalty, b_op, b2_op):
     lam, vec = np.linalg.eigh(rho)
     lam = np.clip(lam, 0.0, None)
     lam_g = np.maximum(lam, _GRAD_FLOOR)
-    m1 = np.real(np.einsum("ij,jk,ki->i", vec.conj().T, b_op, vec))
-    m2 = np.real(np.einsum("ij,jk,ki->i", vec.conj().T, b2_op, vec))
-    seam = abs(q - 1.0) < Q_ONE_SEAM
-    if seam:
-        e1 = float((lam * m1).sum())
-        e2 = float((lam * m2).sum())
-        entropy = float(-(lam * np.log(lam_g)).sum())
-        grad_s = vec @ np.diag(-(np.log(lam_g) + 1.0)) @ vec.conj().T
-        grad_e1 = b_op
-        grad_e2 = b2_op
-    else:
-        lam_q = lam ** q
-        t0 = lam_q.sum()
-        e1 = float((lam_q * m1).sum() / t0)
-        e2 = float((lam_q * m2).sum() / t0)
-        entropy = (t0 - 1.0) / (1.0 - q)
-        dd = _divided_difference(lam_g, q)
-        full_m1 = vec.conj().T @ b_op @ vec
-        full_m2 = vec.conj().T @ b2_op @ vec
-        grad_t0 = vec @ np.diag(q * lam_g ** (q - 1.0)) @ vec.conj().T
-        grad_t1 = vec @ (dd * full_m1) @ vec.conj().T
-        grad_t2 = vec @ (dd * full_m2) @ vec.conj().T
-        grad_e1 = (grad_t1 - e1 * grad_t0) / t0
-        grad_e2 = (grad_t2 - e2 * grad_t0) / t0
-        grad_s = grad_t0 / (1.0 - q)
+    full_m1 = vec.conj().T @ b_op @ vec
+    full_m2 = vec.conj().T @ b2_op @ vec
+    m1, m2 = full_m1.diagonal().real, full_m2.diagonal().real
+    lam_q = lam ** q
+    t0 = lam_q.sum()
+    e1 = float((lam_q * m1).sum() / t0)
+    e2 = float((lam_q * m2).sum() / t0)
+    entropy = spectrum_entropy(lam, q)
+    dd = _divided_difference(lam_g, q)
+    power = lam_g ** (q - 1.0)
+    grad_t0 = vec @ np.diag(q * power) @ vec.conj().T
+    grad_t1 = vec @ (dd * full_m1) @ vec.conj().T
+    grad_t2 = vec @ (dd * full_m2) @ vec.conj().T
+    grad_e1 = (grad_t1 - e1 * grad_t0) / t0
+    grad_e2 = (grad_t2 - e2 * grad_t0) / t0
+    # d/dlam of -lam*qexpm1(ln lam, q-1)
+    grad_s = vec @ np.diag(-(qexpm1(np.log(lam_g), q - 1.0) + power)) @ vec.conj().T
     value = -entropy + penalty * ((e1 - b) ** 2 + (e2 - s2) ** 2)
     grad_rho = (-grad_s
                 + 2.0 * penalty * (e1 - b) * grad_e1
@@ -185,11 +163,8 @@ def _escort_pair(rho, q, b_op, b2_op):
     lam = np.clip(lam, 0.0, None)
     m1 = np.real(np.einsum("ij,jk,ki->i", vec.conj().T, b_op, vec))
     m2 = np.real(np.einsum("ij,jk,ki->i", vec.conj().T, b2_op, vec))
-    if abs(q - 1.0) < Q_ONE_SEAM:
-        weights = lam
-    else:
-        lam_q = lam ** q
-        weights = lam_q / lam_q.sum()
+    lam_q = lam ** q
+    weights = lam_q / lam_q.sum()
     return lam, float((weights * m1).sum()), float((weights * m2).sum())
 
 
@@ -258,14 +233,9 @@ def maxent_general_oracle(c: ConstraintSet, seed: int, budget: int = 6000,
             f"constraint residual {residual:.3g} above {_RESIDUAL_TARGET} "
             f"after {evaluations} objective evaluations"
         )
-    if abs(q - 1.0) < Q_ONE_SEAM:
-        pos = lam[lam > 0.0]
-        entropy = float(-(pos * np.log(pos)).sum())
-    else:
-        entropy = float(((lam ** q).sum() - 1.0) / (1.0 - q))
     return OracleResult(
         eigenvalues=np.sort(lam),
-        achieved_entropy=entropy,
+        achieved_entropy=spectrum_entropy(lam, q),
         constraint_residual=residual,
         iterations=evaluations,
     )

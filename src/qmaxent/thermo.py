@@ -21,24 +21,22 @@ from .inference import (
     ConstraintSet,
     InferredState,
     Multipliers,
-    Q_ONE_SEAM,
     infer_spectra,
     infer_state,
     lagrange_multipliers,
+    qexpm1,
     validate_constraints,
 )
 
 
 def entropy_of_state(s: InferredState) -> float:
-    """Entropy from the stored normalizer: (c_q - 1)/(1 - q), c_q = Z_q**(1-q).
+    """S_q = qexpm1(ln Z_q, 1 - q), the q-logarithm of the stored normalizer.
 
-    On the pure boundary c_q = 1 and the entropy vanishes identically.
-    Agrees with the direct spectral evaluation on the materialized matrix.
+    This is (c_q - 1)/(1 - q), continuous through ln Z_q at q = 1; on the pure
+    boundary Z_q = 1 and it vanishes identically.  Agrees with the direct
+    spectral evaluation on the materialized matrix.
     """
-    q = s.q
-    if abs(q - 1.0) < Q_ONE_SEAM:
-        return -sum(x * math.log(x) for x in s.eigenvalues() if x > 0.0)
-    return (s.c_q - 1.0) / (1.0 - q)
+    return qexpm1(math.log(s.Z_q), 1.0 - s.q)
 
 
 @dataclass(frozen=True)

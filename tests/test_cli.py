@@ -36,6 +36,10 @@ class TestInfer:
         assert payload["lambda_1"] is None
         assert payload["lambda_2"] is None
 
+    def test_pure_corner_entropy_is_positive_zero(self, capsys):
+        assert cli.run(["infer", "--q", "2", "--b", "2.8284271247461903", "--sigma2", "8"]) == 0
+        assert "S_q = 0\n" in capsys.readouterr().out
+
     def test_domain_error_names_the_inequality(self, capsys):
         code = cli.run(["infer", "--q", "2", "--b", "1.4142136", "--sigma2", "3"])
         assert code == 3
@@ -137,6 +141,18 @@ class TestMutual:
         assert abs(payload["K_qprime"] - 0.167184277) < 1e-6
         assert abs(payload["K_qprime"] - payload["closed_form"]) < 1e-8
 
+    def test_large_divergence_order(self, capsys):
+        assert cli.run(["mutual", "--q", "2", "--b", "1", "--sigma2", "5", "--qprime", "600",
+                        "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for key in ("K_qprime", "closed_form"):
+            assert abs(payload[key] - 7.2516544e92) <= 1e-7 * 7.2516544e92
+
+    def test_divergence_beyond_the_float_range_is_domain_error(self, capsys):
+        code = cli.run(["mutual", "--q", "2", "--b", "2.8", "--sigma2", "7.99", "--qprime", "600"])
+        assert code == 3
+        assert "float range" in capsys.readouterr().err
+
     def test_explicit_qprime(self, capsys):
         assert cli.run(["mutual", "--q", "2", "--b", "1.4142136", "--sigma2", "6",
                         "--qprime", "0.5", "--json"]) == 0
@@ -158,6 +174,15 @@ class TestThermo:
     def test_boundary_point_is_domain_error(self, capsys):
         assert cli.run(["thermo", "--q", "2", "--b", "0", "--sigma2", "6"]) == 3
 
+    def test_legendre_bounds_hold_next_to_q_one(self, capsys):
+        # acceptance c08's bounds, at a q the former Gibbs branch left at 8e-5
+        assert cli.run(["thermo", "--q", "1.0000011", "--b", "1", "--sigma2", "5",
+                        "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rel_err_1"] < 1e-5
+        assert payload["rel_err_2"] < 1e-5
+        assert payload["path_residual"] < 1e-6
+
 
 class TestVerify:
     def test_split_oracle_passes(self, capsys):
@@ -167,6 +192,12 @@ class TestVerify:
         assert payload["oracle"] == "split"
         assert payload["passed"] is True
         assert payload["max_eigenvalue_diff"] < 1e-7
+
+    def test_split_oracle_passes_near_q_one_and_at_large_q(self, capsys):
+        # each exited 4 with a spectrum mismatch of 1.2e-7 to 2.6e-7
+        for q, b, s2 in (("1.0001", "1", "5"), ("0.999", "1.5", "6"), ("9.5", "0.99", "4.63")):
+            assert cli.run(["verify", "--q", q, "--b", b, "--sigma2", s2, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["max_eigenvalue_diff"] < 1e-8
 
     def test_general_oracle_passes(self, capsys):
         assert cli.run(["verify", "--q", "0.5", "--b", "1", "--sigma2", "6",

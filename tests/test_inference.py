@@ -8,6 +8,7 @@ from qmaxent.bell import bell_projectors, chsh_operator
 from qmaxent.errors import (
     BoundaryDivergence,
     BOutOfRange,
+    FloatRangeExceeded,
     QOutOfDomain,
     SigmaOutOfRange,
     UncertaintyViolated,
@@ -19,6 +20,8 @@ from qmaxent.inference import (
     infer_state,
     lagrange_multipliers,
     mu_factors,
+    qexpm1,
+    qlog1p,
     to_density_matrix,
     validate_constraints,
 )
@@ -41,6 +44,33 @@ LAMBDA_2_Q2 = -0.0154028652506099
 
 def point(q, b=math.sqrt(2.0), s2=6.0):
     return infer_state(validate_constraints(q, b, s2))
+
+
+class TestQDeformedPair:
+    def test_limit_at_t_zero(self):
+        assert qexpm1(-0.7, 0.0) == -0.7
+        assert qlog1p(0.3, 0.0) == 0.3
+        a = np.array([-np.inf, -2.0, 0.0, 1.5])
+        assert qexpm1(a, 0.0) is a
+
+    def test_continuous_through_t_zero(self):
+        for t in (1e-300, 1e-12, -1e-12, 1e-6):
+            assert abs(qexpm1(-0.7, t) - -0.7) <= abs(t)
+            assert abs(qlog1p(0.3, t) - 0.3) <= abs(t)
+
+    def test_floats_and_arrays_agree(self):
+        xs = np.array([-1.0, -0.25, 0.0, 0.5, 1.0])
+        for t in (0.4, -0.9, 1e-9):
+            assert np.allclose(qexpm1(xs, t), [qexpm1(float(x), t) for x in xs], rtol=1e-15)
+            assert np.allclose(qlog1p(xs, t), [qlog1p(float(x), t) for x in xs], rtol=1e-15)
+
+    def test_inverse_pair(self):
+        for a, t in ((-0.7, 0.3), (1.2, -0.5), (-3.0, 2.0)):
+            assert abs(qlog1p(qexpm1(a, t), t) - a) < 1e-13 * max(1.0, abs(a))
+
+    def test_exact_zero_keeps_its_sign(self):
+        for t in (0.5, -1.0, 0.0):
+            assert math.copysign(1.0, qexpm1(0.0, t)) == 1.0
 
 
 class TestValidation:
@@ -151,6 +181,13 @@ class TestInferState:
             expected = (w.w_plus, w.w_minus, w.w_zero, w.w_zero)
             assert max(abs(a - e) for a, e in zip(s.eigenvalues(), expected)) < 1e-5
 
+    def test_subnormal_weights_at_large_q(self):
+        # the roots stay positive while w*expm1(e*(a - a*)) would overflow
+        for q in (30.0, 1e3, 1e6):
+            s = infer_state(validate_constraints(q, 0.0, 1e-320))
+            assert all(math.isfinite(x) and x > 0.0 for x in (s.Z_q, s.eig_psi_minus, s.eig_deg))
+            assert abs(sum(s.eigenvalues()) - 1.0) < 1e-12
+
     def test_large_q_flattens_spectrum(self):
         for b, s2 in interior_grid(3, 3):
             s = infer_state(validate_constraints(1000.0, b, s2))
@@ -243,6 +280,17 @@ class TestFixedPoint:
             eig_deg=s.eig_deg / norm, Z_q=s.Z_q, c_q=s.c_q,
         )
         assert fixed_point_residual(fake, m) > 1e-4
+
+    def test_large_q_residual(self):
+        s = point(400.0, 1.0, 5.0)
+        assert fixed_point_residual(s, lagrange_multipliers(s)) < 1e-10
+
+    def test_underflowed_cq_is_typed_error(self):
+        # c_q = Tr rho**q is about 4**-599 here, below the float range, and
+        # the multipliers scale with it
+        s = point(600.0, 1.0, 5.0)
+        with pytest.raises(FloatRangeExceeded):
+            fixed_point_residual(s, lagrange_multipliers(s))
 
     def test_boundary_state_has_no_multipliers(self):
         s = infer_state(validate_constraints(2.0, B_MAX, 8.0))

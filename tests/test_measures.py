@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_unitary
+from decimal_reference import mutual_entropy as reference_mutual_entropy
 from qmaxent.bell import bell_projectors, bell_state, chsh_operator
-from qmaxent.errors import NotHermitian, QOutOfDomain, SingularReference, SupportMismatch
+from qmaxent.errors import (
+    FloatRangeExceeded,
+    NotHermitian,
+    QOutOfDomain,
+    SingularReference,
+    SupportMismatch,
+)
 from qmaxent.inference import infer_state, to_density_matrix, validate_constraints
 from qmaxent.measures import (
     generalized_kl,
@@ -43,6 +50,19 @@ class TestTsallisEntropy:
     def test_rejects_bad_q(self):
         with pytest.raises(QOutOfDomain):
             tsallis_entropy(I4 / 4, 0.0)
+
+    def test_continuous_through_q_one(self):
+        for d in (1e-12, 1e-9, 1e-6):
+            for q in (1.0 - d, 1.0 + d):
+                # (4**(1-q) - 1)/(1-q) = ln 4 * (1 + (1-q) ln 4 / 2 + ...)
+                assert abs(tsallis_entropy(I4 / 4, q) - math.log(4.0)) < 2.0 * d
+
+    def test_subnormal_eigenvalue_at_small_q(self):
+        # lam**q is about 0.5 here, while expm1((q-1)*ln lam) alone overflows
+        lam = 1e-310
+        rho = np.diag([1.0 - lam, lam, 0.0, 0.0]).astype(complex)
+        expected = (lam ** 1e-3 + (1.0 - lam) ** 1e-3 - 1.0) / (1.0 - 1e-3)
+        assert abs(tsallis_entropy(rho, 1e-3) - expected) < 1e-12
 
     def test_pseudo_additivity(self, rng):
         # S(rho1 x rho2) = S1 + S2 + (1-q) S1 S2 on random product states
@@ -160,6 +180,34 @@ class TestMutualEntropy:
                     closed = mutual_entropy_closed_form(state, qp)
                     generic = mutual_entropy(rho, qp).value
                     assert abs(closed - generic) < 1e-10
+
+    def test_matrix_route_keeps_eigenvalues_below_the_support_tolerance(self):
+        # the degenerate pair sits near 1e-13 here, yet adds about 2e-3 to K at q' = 0.21
+        q = 0.2076
+        state = inferred(q, 2.6825, 7.9678)
+        assert state.eig_deg < 1e-12
+        generic = mutual_entropy(to_density_matrix(state), q).value
+        assert abs(generic - mutual_entropy_closed_form(state, q)) < 1e-6
+
+    def test_large_divergence_order(self):
+        # both routes stay finite where 4**(q'-1) alone overflows
+        state = inferred(2.0, 1.0, 5.0)
+        closed = mutual_entropy_closed_form(state, 600.0)
+        matrix = mutual_entropy(to_density_matrix(state), 600.0).value
+        assert abs(matrix - closed) <= 1e-9 * closed
+        assert abs(closed - float(reference_mutual_entropy(2.0, 1.0, 5.0, 600.0))) <= 1e-9 * closed
+
+    def test_beyond_the_float_range_raises_typed_error(self):
+        state = inferred(2.0, 2.8, 7.99)
+        with pytest.raises(FloatRangeExceeded):
+            mutual_entropy_closed_form(state, 600.0)
+        with pytest.raises(FloatRangeExceeded):
+            mutual_entropy(to_density_matrix(state), 600.0)
+
+    def test_closed_form_matches_reference_across_orders(self):
+        for q, qp in ((2.0, 2.0), (0.5, 0.3), (1.0, 3.0), (3.0, 1.0 + 1e-9), (0.2, 0.2)):
+            closed = mutual_entropy_closed_form(inferred(q, 1.0, 5.0), qp)
+            assert abs(closed - float(reference_mutual_entropy(q, 1.0, 5.0, qp))) <= 1e-12
 
     def test_local_unitary_invariance(self, rng):
         state = inferred(0.7, 1.0, 5.0)

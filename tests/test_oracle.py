@@ -52,6 +52,14 @@ class TestSplitOracle:
         c = constraints(0.5)
         assert compare_states(infer_state(c), maxent_split_oracle(c)) < 1e-8
 
+    def test_matches_closed_form_near_q_one_and_at_large_q(self):
+        # the search runs on ln Z_q, which stays well scaled where S_q flattens
+        for q in (1.0 - 1e-2, 1.0 - 1e-4, 1.0, 1.0 + 1e-6, 1.0 + 1e-2, 9.5, 50.0):
+            c = validate_constraints(q, 1.0, 5.0)
+            result = maxent_split_oracle(c)
+            assert compare_states(infer_state(c), result) < 1e-8
+            assert abs(result.achieved_entropy - entropy_of_state(infer_state(c))) < 1e-14
+
     def test_degenerate_interval(self):
         # sigma2 = 8 leaves no split freedom: two-level state comes back directly
         c = validate_constraints(2.0, 1.0, 8.0)
