@@ -12,8 +12,7 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
+from dataclasses import asdict
 
 from .errors import BoundaryDivergence, BudgetExhausted, QmaxentError
 from .entangle import RegionGrid, criterion_verdict, scan_region
@@ -34,28 +33,26 @@ def _fmt(x: float) -> str:
     return f"{x:.{_FLOAT_DIGITS}g}"
 
 
-def _json_value(value, indent: int) -> str:
-    pad = "  " * (indent + 1)
-    if isinstance(value, np.generic):
-        value = value.item()
+def _scalar(value) -> str:
+    """Text of one payload value: null, true/false, an integer, a float or a string."""
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     if isinstance(value, float):
         return _fmt(value)
-    if isinstance(value, str):
-        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _json_value(value, indent: int) -> str:
     if isinstance(value, dict):
+        pad = "  " * (indent + 1)
         items = [f'{pad}{json.dumps(k)}: {_json_value(value[k], indent + 1)}'
                  for k in sorted(value)]
         return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
-    if isinstance(value, (list, tuple)):
-        items = [f"{pad}{_json_value(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + "  " * indent + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    return json.dumps(value) if isinstance(value, str) else _scalar(value)
 
 
 def to_json(obj: dict) -> str:
@@ -73,18 +70,7 @@ def _flatten(obj, prefix=""):
 
 
 def to_plain(obj: dict) -> str:
-    lines = []
-    for name, value in _flatten(obj):
-        if value is None:
-            text = "null"
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = _fmt(value)
-        else:
-            text = str(value)
-        lines.append(f"{name} = {text}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name} = {_scalar(value)}\n" for name, value in _flatten(obj))
 
 
 def _emit(payload: str, out_path):
@@ -136,11 +122,7 @@ def _infer_payload(q, b, s2):
         "lambda_max": state.lambda_max,
         "q": state.constraints.q,
         "sigma2_q": state.constraints.sigma2_q,
-        "weights": {
-            "w_plus": state.weights.w_plus,
-            "w_minus": state.weights.w_minus,
-            "w_zero": state.weights.w_zero,
-        },
+        "weights": asdict(state.weights),
     }
     return state, payload
 
@@ -152,7 +134,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    _emit(region_to_csv(scan_region(args.q, args.grid, workers=args.threads)), args.out)
+    _emit(region_to_csv(scan_region(args.q, args.grid)), args.out)
     return 0
 
 
@@ -173,17 +155,8 @@ def _cmd_mutual(args) -> int:
 
 
 def _cmd_thermo(args) -> int:
-    report = legendre_report(validate_constraints(args.q, args.b, args.sigma2),
-                             h=args.fd_step)
-    payload = {
-        "dS_db_fd": report.dS_db_fd,
-        "dS_dsigma2_fd": report.dS_dsigma2_fd,
-        "lambda_1": report.lambda_1,
-        "lambda_2": report.lambda_2,
-        "rel_err_1": report.rel_err_1,
-        "rel_err_2": report.rel_err_2,
-        "path_residual": report.path_residual,
-    }
+    payload = asdict(legendre_report(validate_constraints(args.q, args.b, args.sigma2),
+                                     h=args.fd_step))
     _emit(to_json(payload) if args.json else to_plain(payload), args.out)
     return 0
 
@@ -260,8 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="rasterize the data domain to CSV")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--grid", type=int, default=100, help="cells per axis (>= 2)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="has no effect, accepted for compatibility (the scan is vectorised)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_scan)
 
@@ -295,9 +266,6 @@ def _validate_flags(args) -> str | None:
             return f"--{name.replace('_', '-')} must be finite, got {value}"
     if getattr(args, "grid", 2) < 2:
         return f"--grid must be at least 2, got {args.grid}"
-    threads = getattr(args, "threads", None)
-    if threads is not None and threads < 1:
-        return f"--threads must be at least 1, got {threads}"
     if hasattr(args, "fd_step") and not 1e-8 <= args.fd_step <= 1e-3:
         return f"--fd-step must lie in [1e-8, 1e-3], got {args.fd_step}"
     if getattr(args, "budget", 6000) < 1000:

@@ -62,11 +62,11 @@ class RegionGrid:
     entangled: np.ndarray
 
 
-def scan_region(q: float, n: int, workers: int | None = None) -> RegionGrid:
+def scan_region(q: float, n: int) -> RegionGrid:
     """Uniform n x n scan of b in [0, 2*sqrt(2)] by sigma2 in [0, 8].
 
     The scan is one vectorised pass of infer_spectra, so repeated scans are
-    byte-identical; workers is accepted for compatibility and has no effect.
+    byte-identical.
     """
     if n < 2:
         raise ValueError(f"grid resolution must be at least 2, got {n}")

@@ -42,7 +42,7 @@ class BoundaryDivergence(QmaxentError):
 
 
 class NegativeBracket(QmaxentError):
-    """Fixed-point reconstruction produced a negative bracket argument."""
+    """Fixed-point reconstruction produced a non-positive bracket argument at q > 1."""
 
 
 class SingularReference(QmaxentError):

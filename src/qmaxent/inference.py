@@ -355,9 +355,9 @@ def fixed_point_residual(s: InferredState, m: Multipliers) -> float:
               l1 * b + l2 * s2):
         x /= s.c_q
         bracket = 1.0 + x * (1.0 - q)
-        # reconstruction of a vanishing bracket carries O(eps) sign dust;
-        # genuine negativity still raises
-        if bracket < -1e-12 or (bracket <= 0.0 and q > 1.0):
+        # for q < 1 a non-positive bracket is the Tsallis cut-off [.]_+, a
+        # zero eigenvalue; for q > 1 it has no admissible power
+        if bracket <= 0.0 and q > 1.0:
             raise NegativeBracket(
                 f"bracket argument {bracket} is not admissible for q={q}"
             )

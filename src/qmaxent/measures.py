@@ -29,11 +29,6 @@ from .smallmat import (
 )
 
 
-def _spectrum_clamped(rho):
-    lam, vec = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    return np.clip(lam, 0.0, None), vec
-
-
 def _qexpm1_sum(weight, lam, log_ratio, order: float) -> float:
     """sum of weight * lam * qexpm1(log_ratio, order - 1); FloatRangeExceeded past the float range.
 
@@ -61,8 +56,7 @@ def tsallis_entropy(rho, q: float) -> float:
     """(Tr rho**q - 1)/(1 - q), evaluated as spectrum_entropy: continuous through q = 1."""
     if not q > 0.0:
         raise QOutOfDomain(f"entropic index must satisfy q > 0, got q={q}")
-    lam, _ = _spectrum_clamped(validate_density_matrix(rho))
-    return spectrum_entropy(lam, q)
+    return spectrum_entropy(validate_density_matrix(rho).eigenvalues, q)
 
 
 def q_expectation(rho, obs, q: float) -> float:
@@ -72,18 +66,11 @@ def q_expectation(rho, obs, q: float) -> float:
     o = as_matrix(obs)
     if not is_hermitian(o):
         raise NotHermitian("observable is not Hermitian to 1e-10")
-    lam, vec = _spectrum_clamped(validate_density_matrix(rho))
+    spec = validate_density_matrix(rho)
+    lam, vec = spec.eigenvalues, spec.eigenvectors
     lam_q = lam ** q
     diag = np.real(np.einsum("ij,jk,ki->i", vec.conj().T, o, vec))
     return float((lam_q * diag).sum() / lam_q.sum())
-
-
-def _support_leak(rho, ref_vecs, ref_lam) -> float:
-    """Probability mass of rho outside the support of the reference."""
-    null = ref_vecs[:, ref_lam <= SUPPORT_TOL]
-    if null.shape[1] == 0:
-        return 0.0
-    return float(np.real(np.einsum("ij,jk,ki->", null.conj().T, rho, null)))
 
 
 def generalized_kl(rho, ref, q_prime: float) -> float:
@@ -105,27 +92,30 @@ def generalized_kl(rho, ref, q_prime: float) -> float:
     """
     if not q_prime > 0.0:
         raise QOutOfDomain(f"divergence order must satisfy q' > 0, got {q_prime}")
-    rho = validate_density_matrix(rho)
-    ref = validate_density_matrix(ref)
-    lam, vec = _spectrum_clamped(rho)
-    mu, wec = _spectrum_clamped(ref)
+    spec, ref_spec = validate_density_matrix(rho), validate_density_matrix(ref)
+    lam, vec = spec.eigenvalues, spec.eigenvectors
+    mu, wec = ref_spec.eigenvalues, ref_spec.eigenvectors
+    own, ref_own = lam > 0.0, mu > SUPPORT_TOL
+
+    def overlap(cols):  # |<v_i|w_j>|**2 over lam_i > 0 and the reference columns cols
+        return np.abs(vec[:, own].conj().T @ wec[:, cols]) ** 2
+
     if q_prime > 1.0:
         if mu.min() <= SUPPORT_TOL:
             raise SingularReference(
                 f"reference state is singular (min eigenvalue {mu.min():.3g}) "
                 f"but q'={q_prime} > 1 needs a negative power of it"
             )
-    elif _support_leak(rho, wec, mu) > SUPPORT_TOL:
+    elif lam[own] @ overlap(~ref_own).sum(axis=1) > SUPPORT_TOL:  # mass outside ref's support
         raise SupportMismatch("state support is not contained in the reference support")
-    own, ref_own = lam > 0.0, mu > SUPPORT_TOL
-    overlap = np.abs(vec[:, own].conj().T @ wec[:, ref_own]) ** 2
     log_ratio = np.log(lam[own])[:, None] - np.log(mu[ref_own])[None, :]
-    return _qexpm1_sum(overlap, lam[own][:, None], log_ratio, q_prime)
+    return _qexpm1_sum(overlap(ref_own), lam[own][:, None], log_ratio, q_prime)
 
 
 def marginals(rho_ab):
     """Single-qubit reductions (Tr_B rho, Tr_A rho) of a two-qubit state."""
-    rho = validate_density_matrix(as_matrix(rho_ab, dim=4))
+    rho = as_matrix(rho_ab, dim=4)
+    validate_density_matrix(rho)
     return partial_trace(rho, "B"), partial_trace(rho, "A")
 
 

@@ -32,6 +32,7 @@ from .measures import spectrum_entropy
 
 #: golden ratio section for the 1-D search
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SEARCH_TOL = 1e-10
 _PENALTY_ROUNDS = (1e3, 1e4, 1e5, 1e6, 1e7)
 _RESIDUAL_TARGET = 1e-6
 #: eigenvalue floor used only inside gradients of fractional powers
@@ -53,15 +54,15 @@ def escort_residual(eigenvalues, c: ConstraintSet):
     The spectrum is taken in slot order (phi_plus, psi_minus, deg, deg).
     """
     lam = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, None)
-    q = c.q
-    lam_q = lam ** q
+    # escort weights are scale-free; over lam.max(), lam**q cannot all underflow at large q
+    lam_q = (lam / lam.max()) ** c.q
     norm = lam_q.sum()
     b_rec = B_MAX * (lam_q[0] - lam_q[1]) / norm
     s2_rec = 8.0 * (lam_q[0] + lam_q[1]) / norm
     return max(abs(b_rec - c.b_q), abs(s2_rec - c.sigma2_q))
 
 
-def maxent_split_oracle(c: ConstraintSet, tol: float = 1e-10) -> OracleResult:
+def maxent_split_oracle(c: ConstraintSet) -> OracleResult:
     """Maximize the entropy over the split of the unconstrained escort mass.
 
     The constraints fix the escort weights of the phi_plus and psi_minus
@@ -69,8 +70,6 @@ def maxent_split_oracle(c: ConstraintSet, tol: float = 1e-10) -> OracleResult:
     mass (8 - sigma2_q)/8 as (t, rest - t).  Golden-section search on t
     locates the optimum, which lands on the equal split.
     """
-    if not 1e-12 <= tol <= 1e-6:
-        raise ValueError(f"tolerance must lie in [1e-12, 1e-6], got {tol}")
     w = escort_weights(c)
     q = c.q
     free = 2.0 * w.w_zero
@@ -87,7 +86,7 @@ def maxent_split_oracle(c: ConstraintSet, tol: float = 1e-10) -> OracleResult:
         c1 = hi - _GOLDEN * (hi - lo)
         c2 = lo + _GOLDEN * (hi - lo)
         f1, f2 = log_partition_at(c1), log_partition_at(c2)
-        while hi - lo > tol:
+        while hi - lo > _SEARCH_TOL:
             iterations += 1
             if f1 < f2:
                 lo, c1, f1 = c1, c2, f2

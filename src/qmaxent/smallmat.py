@@ -29,16 +29,17 @@ def as_matrix(m, dim=None) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, tol=HERMITIAN_TOL) -> bool:
+def is_hermitian(m) -> bool:
     a = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL)
 
 
-def validate_density_matrix(rho) -> np.ndarray:
+def validate_density_matrix(rho) -> Spectrum:
     """Check the density-matrix contract: Hermitian, unit trace, PSD.
 
     Tolerances are 1e-12 for hermiticity and trace and -1e-12 for the
-    smallest eigenvalue.  Returns the coerced array unchanged.
+    smallest eigenvalue.  Returns the spectrum of the coerced array
+    (``hermitian_eigen``), with its eigenvalues clipped at 0.
     """
     a = as_matrix(rho)
     if np.max(np.abs(a - a.conj().T)) > DM_TOL:
@@ -46,9 +47,11 @@ def validate_density_matrix(rho) -> np.ndarray:
     tr = np.trace(a)
     if abs(tr - 1.0) > DM_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1 to 1e-12")
-    if np.linalg.eigvalsh(0.5 * (a + a.conj().T)).min() < -DM_TOL:
+    spec = hermitian_eigen(a)
+    if spec.eigenvalues.min() < -DM_TOL:
         raise ValueError("density matrix has an eigenvalue below -1e-12")
-    return a
+    return Spectrum(eigenvalues=np.clip(spec.eigenvalues, 0.0, None),
+                    eigenvectors=spec.eigenvectors)
 
 
 @dataclass(frozen=True)

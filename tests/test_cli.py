@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import qmaxent.cli as cli
 from qmaxent.oracle import OracleResult
@@ -61,6 +62,47 @@ class TestInfer:
         assert capsys.readouterr().out == ""
 
 
+BASELINE = ["--q", "2", "--b", "1.4142136", "--sigma2", "6"]
+
+
+class TestGoldenOutput:
+    """Byte-exact stdout at the baseline point."""
+
+    def test_infer_plain(self, capsys):
+        assert cli.run(["infer", *BASELINE]) == 0
+        assert capsys.readouterr().out == (
+            "F_q = -0.862232585\nS_q = 0.708203931\nZ_q = 3.42705096\nb_q = 1.4142136\n"
+            "c_q = 0.291796069\neigenvalues.phi_minus = 0.190983006\n"
+            "eigenvalues.phi_plus = 0.427050987\neigenvalues.psi_minus = 0.190983001\n"
+            "eigenvalues.psi_plus = 0.190983006\nentangled = false\n"
+            "lambda_1 = -0.0435658845\nlambda_2 = -0.0154028647\nlambda_max = 0.427050987\n"
+            "q = 2\nsigma2_q = 6\nweights.w_minus = 0.124999993\n"
+            "weights.w_plus = 0.625000007\nweights.w_zero = 0.125\n")
+
+    def test_infer_json(self, capsys):
+        assert cli.run(["infer", *BASELINE, "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "F_q": -0.862232585,\n  "S_q": 0.708203931,\n  "Z_q": 3.42705096,\n'
+            '  "b_q": 1.4142136,\n  "c_q": 0.291796069,\n  "eigenvalues": {\n'
+            '    "phi_minus": 0.190983006,\n    "phi_plus": 0.427050987,\n'
+            '    "psi_minus": 0.190983001,\n    "psi_plus": 0.190983006\n  },\n'
+            '  "entangled": false,\n  "lambda_1": -0.0435658845,\n'
+            '  "lambda_2": -0.0154028647,\n  "lambda_max": 0.427050987,\n  "q": 2,\n'
+            '  "sigma2_q": 6,\n  "weights": {\n    "w_minus": 0.124999993,\n'
+            '    "w_plus": 0.625000007,\n    "w_zero": 0.125\n  }\n}\n')
+
+    def test_mutual_plain(self, capsys):
+        assert cli.run(["mutual", *BASELINE, "--qprime", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "K_qprime = 0.167184277\nb_q = 1.4142136\nclosed_form = 0.167184277\n"
+            "q = 2\nqprime = 2\nsigma2_q = 6\n")
+
+    def test_formatters_reject_lists(self):
+        for formatter in (cli.to_json, cli.to_plain):
+            with pytest.raises(TypeError):
+                formatter({"values": [1.0, 2.0]})
+
+
 class TestUsageErrors:
     def test_missing_flag(self, capsys):
         assert cli.run(["infer", "--q", "2", "--b", "1"]) == 2
@@ -99,13 +141,20 @@ class TestScan:
         assert all(r.split(",")[3] == "nan" and r.split(",")[4] == "0" for r in infeasible)
 
     def test_byte_identical_across_worker_counts(self, tmp_path):
+        """Repeated scans write the same bytes."""
         outputs = []
-        for threads in ("1", "4"):
-            target = tmp_path / f"region_{threads}.csv"
-            cli.run(["scan", "--q", "0.5", "--grid", "20", "--threads", threads,
-                     "--out", str(target)])
+        for k in range(2):
+            target = tmp_path / f"region_{k}.csv"
+            cli.run(["scan", "--q", "0.5", "--grid", "20", "--out", str(target)])
             outputs.append(target.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "never.csv"
+        code = cli.run(["scan", "--q", "2", "--grid", "8", "--threads", "2", "--out", str(target)])
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not target.exists()
 
     def test_no_partial_output_on_error(self, tmp_path, capsys):
         target = tmp_path / "never.csv"
@@ -198,6 +247,13 @@ class TestVerify:
         for q, b, s2 in (("1.0001", "1", "5"), ("0.999", "1.5", "6"), ("9.5", "0.99", "4.63")):
             assert cli.run(["verify", "--q", q, "--b", b, "--sigma2", s2, "--json"]) == 0
             assert json.loads(capsys.readouterr().out)["max_eigenvalue_diff"] < 1e-8
+
+    @pytest.mark.filterwarnings("error")
+    def test_split_residual_finite_at_very_large_q(self, capsys):
+        # lam**q underflowed to an all-zero norm here and printed nan
+        for q, b, s2 in (("1000", "1", "5"), ("1e5", "0.5", "3")):
+            assert cli.run(["verify", "--q", q, "--b", b, "--sigma2", s2, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["constraint_residual"] < 1e-10
 
     def test_general_oracle_passes(self, capsys):
         assert cli.run(["verify", "--q", "0.5", "--b", "1", "--sigma2", "6",

@@ -285,6 +285,23 @@ class TestFixedPoint:
         s = point(400.0, 1.0, 5.0)
         assert fixed_point_residual(s, lagrange_multipliers(s)) < 1e-10
 
+    def test_small_q_cut_off_bracket_is_a_zero_eigenvalue(self):
+        # the rebuilt bracket here is -2.3e-12, the Tsallis cut-off [1+(1-q)x]_+
+        s = infer_state(validate_constraints(
+            0.049244387320629336, 2.3002016583677594, 7.995533236625258))
+        assert fixed_point_residual(s, lagrange_multipliers(s)) < 1e-8
+
+    def test_residual_tiny_at_small_q_interior_points(self):
+        rng = np.random.default_rng(3000)
+        worst = 0.0
+        for _ in range(3000):
+            q = math.exp(rng.uniform(math.log(1e-3), math.log(0.3)))
+            b = B_MAX * rng.uniform(0.05, 0.95)
+            s2 = B_MAX * b + rng.uniform(0.05, 0.95) * (8.0 - B_MAX * b)
+            s = infer_state(validate_constraints(q, b, s2))
+            worst = max(worst, fixed_point_residual(s, lagrange_multipliers(s)))
+        assert worst < 1e-8
+
     def test_underflowed_cq_is_typed_error(self):
         # c_q = Tr rho**q is about 4**-599 here, below the float range, and
         # the multipliers scale with it

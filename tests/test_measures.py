@@ -127,6 +127,19 @@ class TestGeneralizedKL:
         with pytest.raises(SupportMismatch):
             generalized_kl(I4 / 4, PHI_PLUS, 0.5)
 
+    def test_support_leak_threshold(self, rng):
+        # rho puts mass eps on a direction the reference does not hold
+        u = random_unitary(rng, 4)
+        ref = u @ np.diag([0.5, 0.5, 0.0, 0.0]) @ u.conj().T
+        for eps, leaks in ((1e-9, True), (1e-14, False)):
+            rho = u @ np.diag([0.6, 0.4 - eps, eps, 0.0]) @ u.conj().T
+            for qp in (0.2, 0.5, 1.0):
+                if leaks:
+                    with pytest.raises(SupportMismatch):
+                        generalized_kl(rho, ref, qp)
+                else:
+                    assert math.isfinite(generalized_kl(rho, ref, qp))
+
     def test_nonnegative_on_random_pairs(self, rng):
         for _ in range(50):
             rho = random_density(rng, 4)
@@ -217,3 +230,25 @@ class TestMutualEntropy:
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             rotated = u @ rho @ u.conj().T
             assert abs(mutual_entropy(rotated, 2.0).value - base) < 1e-10
+
+
+class TestOneDiagonalisationPerMatrix:
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+        return calls
+
+    def test_mutual_entropy_diagonalises_state_marginal_product_once_each(self, count):
+        mutual_entropy(to_density_matrix(inferred()), 2.0)
+        assert len(count) == 3
+
+    def test_entropy_and_expectation_diagonalise_once(self, count):
+        rho = to_density_matrix(inferred())
+        tsallis_entropy(rho, 2.0)
+        assert len(count) == 1
+        q_expectation(rho, chsh_operator().b_op, 2.0)
+        assert len(count) == 2

@@ -80,11 +80,6 @@ class TestSplitOracle:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert a.achieved_entropy == b.achieved_entropy
 
-    def test_tolerance_validation(self):
-        for tol in (1e-13, 1e-5):
-            with pytest.raises(ValueError):
-                maxent_split_oracle(constraints(2.0), tol=tol)
-
 
 class TestGeneralOracle:
     def test_stationary_at_closed_form(self):

@@ -81,7 +81,7 @@ def test_closed_form_mutual_entropy_finite(q, data, q_prime):
 
 @PROPERTY
 @given(q=QS, data=domain_data(), q_prime=log_uniform(1e-6, 1e6),
-       command=st.sampled_from(("infer", "mutual")))
+       command=st.sampled_from(("infer", "mutual", "thermo", "verify")))
 def test_cli_exits_only_with_documented_codes(q, data, q_prime, command):
     b, s2 = data
     argv = [command, "--q", repr(q), "--b", repr(b), "--sigma2", repr(s2)]
