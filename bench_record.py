@@ -4,8 +4,9 @@ Stdlib only.  Runs ``perfbench/run.py`` in a checkout of the parent commit and
 in a checkout of the change, one workload at a time, as pairs of runs with the
 same seed whose order alternates (the parent first in even pairs, the change
 first in odd ones), so that drift of machine speed falls on both sides alike.
-Then it runs ``--trace 1`` on ``library-batch`` once per side for the
-per-layer metrics.  Run it from the change's checkout, for example
+Each run lasts the ``run_seconds`` that ``BENCHMARK.json`` sets, and the
+pairs use seeds 1 to 10.  Then it runs ``--trace 1`` on ``library-batch``
+once per side for the per-layer metrics.  Run it from the change's checkout, for example
 
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
     python3 bench_record.py ../parent . --out BENCH_6.json
@@ -30,6 +31,7 @@ from pathlib import Path
 WORKLOADS = ("cli-calls", "scan-raster", "library-batch")
 TRACED_WORKLOAD = "library-batch"
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -83,27 +85,23 @@ def main() -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=5, help="pairs per workload (>= 5)")
-    parser.add_argument("--seconds", type=int, default=38, help="length of each run")
-    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args()
-    if args.pairs < 5:
-        parser.error(f"--pairs must be at least 5, got {args.pairs}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, path in checkouts.items():
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"{side} checkout {path} has no perfbench/run.py")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
 
     runs = {w: [] for w in WORKLOADS}
-    for i in range(args.pairs):
-        seed = args.first_seed + i
+    for i in range(PAIRS):
+        seed = 1 + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for workload in WORKLOADS:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_bench(checkouts[side], workload, seed, args.seconds, 0)
+                pair[side] = run_bench(checkouts[side], workload, seed, seconds, 0)
                 print(f"pair {i} {workload} {side}: {json.dumps(pair[side])[:200]}",
                       file=sys.stderr, flush=True)
             runs[workload].append(pair)
@@ -129,9 +127,9 @@ def main() -> int:
             "metrics": metrics,
         }
 
-    per_layer = {"workload": TRACED_WORKLOAD, "seed": args.first_seed}
+    per_layer = {"workload": TRACED_WORKLOAD, "seed": 1}
     for side in SIDES:
-        result = run_bench(checkouts[side], TRACED_WORKLOAD, args.first_seed, args.seconds, 1)
+        result = run_bench(checkouts[side], TRACED_WORKLOAD, 1, seconds, 1)
         per_layer[side] = result
         print(f"trace {side}: correct={result.get('correct')}", file=sys.stderr, flush=True)
 
@@ -139,8 +137,8 @@ def main() -> int:
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "machine": machine(),
         "commits": {s: commit(checkouts[s]) for s in SIDES},
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "trace": 0,
-                     "seeds": [args.first_seed + i for i in range(args.pairs)],
+        "settings": {"pairs": PAIRS, "seconds": seconds, "trace": 0,
+                     "seeds": list(range(1, PAIRS + 1)),
                      "quartiles": "statistics.quantiles(method='inclusive')"},
         "workloads": workloads,
         "per_layer": per_layer,

@@ -127,8 +127,7 @@ class MutualEntropyResult:
 
 def mutual_entropy(rho_ab, q_prime: float) -> MutualEntropyResult:
     """Generalized mutual entropy: divergence from the product of marginals."""
-    rho_a, rho_b = marginals(rho_ab)
-    ref = np.kron(rho_a, rho_b)
+    ref = np.kron(partial_trace(rho_ab, "B"), partial_trace(rho_ab, "A"))
     return MutualEntropyResult(value=generalized_kl(rho_ab, ref, q_prime), q_prime=q_prime)
 
 

@@ -242,9 +242,9 @@ class TestOneDiagonalisationPerMatrix:
                                 lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
         return calls
 
-    def test_mutual_entropy_diagonalises_state_marginal_product_once_each(self, count):
+    def test_mutual_entropy_diagonalises_state_and_product_once_each(self, count):
         mutual_entropy(to_density_matrix(inferred()), 2.0)
-        assert len(count) == 3
+        assert len(count) == 2
 
     def test_entropy_and_expectation_diagonalise_once(self, count):
         rho = to_density_matrix(inferred())
