@@ -124,11 +124,11 @@ def _infer_payload(q, b, s2):
         "sigma2_q": state.constraints.sigma2_q,
         "weights": asdict(state.weights),
     }
-    return state, payload
+    return payload
 
 
 def _cmd_infer(args) -> int:
-    _, payload = _infer_payload(args.q, args.b, args.sigma2)
+    payload = _infer_payload(args.q, args.b, args.sigma2)
     _emit(to_json(payload) if args.json else to_plain(payload), args.out)
     return 0
 
@@ -140,7 +140,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_mutual(args) -> int:
     qprime = args.qprime if args.qprime is not None else args.q
-    state, _ = _infer_payload(args.q, args.b, args.sigma2)
+    state = infer_state(validate_constraints(args.q, args.b, args.sigma2))
     result = mutual_entropy(to_density_matrix(state), qprime)
     payload = {
         "K_qprime": result.value,

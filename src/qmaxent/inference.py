@@ -373,7 +373,6 @@ def fixed_point_residual(s: InferredState, m: Multipliers) -> float:
 def to_density_matrix(s: InferredState) -> np.ndarray:
     """Materialize the 4x4 density matrix in the computational basis."""
     projs = bell_projectors()
-    rho = (s.eig_phi_plus * projs["phi_plus"]
-           + s.eig_psi_minus * projs["psi_minus"]
-           + s.eig_deg * (projs["phi_minus"] + projs["psi_plus"]))
-    return 0.5 * (rho + rho.conj().T)
+    return (s.eig_phi_plus * projs["phi_plus"]
+            + s.eig_psi_minus * projs["psi_minus"]
+            + s.eig_deg * (projs["phi_minus"] + projs["psi_plus"]))

@@ -208,6 +208,12 @@ class TestMutual:
         payload = json.loads(capsys.readouterr().out)
         assert payload["qprime"] == 0.5
 
+    def test_needs_no_multipliers_at_tiny_q(self, capsys):
+        # mutual needs only the state, not the multipliers that overflow at this q
+        assert cli.run(["mutual", "--q", "4.0791560137447976e-20", "--b", "1.006362305139997",
+                        "--sigma2", "4.687347012544155", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["K_qprime"] == 0.75
+
 
 class TestThermo:
     def test_report_fields(self, capsys):

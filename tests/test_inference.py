@@ -334,6 +334,16 @@ class TestDensityMatrix:
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(rho).min() > -1e-15
 
+    def test_exactly_hermitian_without_symmetrising(self, rng):
+        # real weights on real symmetric projectors: no symmetrising step needed
+        for _ in range(200):
+            q = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            u, v = rng.uniform(0.02, 0.98, size=2)
+            b = B_MAX * u
+            s2 = B_MAX * b + v * (8.0 - B_MAX * b)
+            rho = to_density_matrix(infer_state(validate_constraints(q, b, s2)))
+            assert np.array_equal(rho, rho.conj().T)
+
     def test_data_recovery_matrix_route(self):
         # escort expectations of the materialized state reproduce the inputs;
         # q = 0.1 is excluded here because the materialized eigenvalues

@@ -82,13 +82,6 @@ class TestSplitOracle:
 
 
 class TestGeneralOracle:
-    def test_stationary_at_closed_form(self):
-        for q in (0.5, 2.0):
-            c = constraints(q)
-            closed = entropy_of_state(infer_state(c))
-            result = maxent_general_oracle(c, seed=0, start_at_closed_form=True)
-            assert abs(result.achieved_entropy - closed) <= 1e-6
-
     def test_never_beats_closed_form(self):
         c = validate_constraints(0.5, 1.0, 6.0)
         closed = entropy_of_state(infer_state(c))
@@ -123,6 +116,35 @@ class TestGeneralOracle:
                             lambda fun, x, **kw: StuckResult(np.asarray(x)))
         with pytest.raises(BudgetExhausted):
             maxent_general_oracle(constraints(2.0), seed=3)
+
+    def test_meets_the_constraints_to_round_off(self):
+        # the acceptance falsification points: the equality-constrained solve
+        # leaves no constraint violation for the entropy to feed on
+        points = [(0.1, 0.5, 4.0), (0.5, 1.0, 6.0), (1.1, 1.2, 5.5),
+                  (2.0, math.sqrt(2.0), 6.0), (5.0, 1.0, 5.0)]
+        for q, b, s2 in points:
+            c = validate_constraints(q, b, s2)
+            closed = entropy_of_state(infer_state(c))
+            for seed in range(1, 6):
+                result = maxent_general_oracle(c, seed=seed)
+                assert result.constraint_residual <= 1e-10, (q, seed)
+                assert abs(result.achieved_entropy - closed) <= 1e-10, (q, seed)
+
+    def test_budget_caps_the_evaluations(self, monkeypatch):
+        # a small-q point the solve does not converge on within 1000 evaluations
+        import qmaxent.oracle as oracle_module
+
+        calls = []
+        evaluate = oracle_module._entropy_and_escorts
+
+        def counting(x, *args):
+            calls.append(x)
+            return evaluate(x, *args)
+
+        monkeypatch.setattr(oracle_module, "_entropy_and_escorts", counting)
+        with pytest.raises(BudgetExhausted, match="after 1000 objective evaluations"):
+            maxent_general_oracle(validate_constraints(0.0805, 1.0, 6.0), seed=1, budget=1000)
+        assert len(calls) <= 1000
 
 
 class TestCompareStates:
