@@ -131,7 +131,7 @@ def mutual_entropy(rho_ab, q_prime: float) -> MutualEntropyResult:
     return MutualEntropyResult(value=generalized_kl(rho_ab, ref, q_prime), q_prime=q_prime)
 
 
-def mutual_entropy_closed_form(state: InferredState, q_prime: float | None = None) -> float:
+def mutual_entropy_closed_form(state: InferredState, q_prime: float) -> float:
     """Mutual entropy of an inferred state without materializing matrices.
 
     Both marginals of every inferred state are maximally mixed, so the
@@ -139,11 +139,8 @@ def mutual_entropy_closed_form(state: InferredState, q_prime: float | None = Non
 
         K = sum_i lambda_i * qexpm1(ln(4*lambda_i), q'-1)
 
-    over the nonzero eigenvalues, the relative entropy to I/4 at q' = 1.  The
-    divergence order defaults to the state's own entropic index.
+    over the nonzero eigenvalues, the relative entropy to I/4 at q' = 1.
     """
-    if q_prime is None:
-        q_prime = state.q
     if not q_prime > 0.0:
         raise QOutOfDomain(f"divergence order must satisfy q' > 0, got {q_prime}")
     lam = np.array([x for x in state.eigenvalues() if x > 0.0])

@@ -12,11 +12,13 @@ Two routes that search for the maximizer the closed form writes down:
   equal split the closed form assumes.
 
 * The general oracle.  One equality-constrained SLSQP maximization of the
-  entropy over all 4x4 density matrices rho = X X^dagger / Tr(X X^dagger),
-  from a seeded random X, with the two escort constraints as equalities.
-  It calls nothing of the closed form.  This is a falsifier, not a
-  prover: it can only ever report a failure to beat the closed form, never
-  certify global optimality.
+  entropy over all 4x4 escort states P = X X^dagger / Tr(X X^dagger), from
+  a seeded random X.  The data are escort expectations, so the two
+  constraints Tr(P B) = b_q and Tr(P B^2) = sigma2_q are linear in P, and
+  rho = P**(1/q) / Tr P**(1/q) is a bijection onto all 4x4 density
+  matrices: the search still covers every state.  It calls nothing of the
+  closed form.  This is a falsifier, not a prover: it can only ever report
+  a failure to beat the closed form, never certify global optimality.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SEARCH_TOL = 1e-10
 #: SLSQP's stop tolerance; resuming from the stopped point mends early stops
 _SLSQP_FTOL = 1e-12
+#: SLSQP's exit status after its default 100 iterations; resuming restarts its quasi-Newton model
+_SLSQP_ITERATION_LIMIT = 9
 _RESIDUAL_TARGET = 1e-6
-#: eigenvalue floor used only inside gradients of fractional powers
+#: escort-weight floor used only inside the entropy gradient, where ln lambda and lambda/p diverge
 _GRAD_FLOOR = 1e-14
 
 
@@ -111,61 +115,46 @@ def maxent_split_oracle(c: ConstraintSet) -> OracleResult:
     )
 
 
-def _divided_difference(lam, q):
-    """Matrix of (lam_i**q - lam_j**q)/(lam_i - lam_j) with smooth diagonal."""
-    li = lam[:, None]
-    lj = lam[None, :]
-    close = np.abs(li - lj) < 1e-12
-    den = np.where(close, 1.0, li - lj)
-    num = lam ** q
-    diff = (num[:, None] - num[None, :]) / den
-    mid = np.maximum(0.5 * (li + lj), _GRAD_FLOOR)
-    return np.where(close, q * mid ** (q - 1.0), diff)
-
-
 def _entropy_and_escorts(x, q, b_op, b2_op):
     """Entropy, the two escort expectations and their analytic gradients in 32 real parameters.
 
-    Returns the clipped spectrum, S_q, the gradient of S_q and the (2,) escort
-    values (<B>_q, <B^2>_q) with their (2, 32) Jacobian.
+    The parameters give the escort state P = X X^dagger / Tr(X X^dagger), and the
+    state is rho = P**(1/q) / Tr P**(1/q), with P's eigenvectors.  Returns rho's
+    clipped spectrum, S_q, the gradient of S_q and the (2,) escort values
+    (Tr P B, Tr P B^2) with their (2, 32) Jacobian.
     """
     xm = (x[:16] + 1j * x[16:]).reshape(4, 4)
     raw = xm @ xm.conj().T
     trace = float(np.real(np.trace(raw)))
-    rho = raw / trace
-    lam, vec = np.linalg.eigh(rho)
-    lam = np.clip(lam, 0.0, None)
-    lam_g = np.maximum(lam, _GRAD_FLOOR)
-    full_m1 = vec.conj().T @ b_op @ vec
-    full_m2 = vec.conj().T @ b2_op @ vec
-    m1, m2 = full_m1.diagonal().real, full_m2.diagonal().real
-    lam_q = lam ** q
-    t0 = lam_q.sum()
-    e1 = float((lam_q * m1).sum() / t0)
-    e2 = float((lam_q * m2).sum() / t0)
-    dd = _divided_difference(lam_g, q)
-    power = lam_g ** (q - 1.0)
-    grad_t0 = vec @ np.diag(q * power) @ vec.conj().T
-    grad_t1 = vec @ (dd * full_m1) @ vec.conj().T
-    grad_t2 = vec @ (dd * full_m2) @ vec.conj().T
-    # d/dlam of -lam*qexpm1(ln lam, q-1)
-    grad_s = vec @ np.diag(-(qexpm1(np.log(lam_g), q - 1.0) + power)) @ vec.conj().T
-    grad_rho = np.stack([grad_s, (grad_t1 - e1 * grad_t0) / t0, (grad_t2 - e2 * grad_t0) / t0])
-    # chain through rho = raw / Tr raw, then raw = X X^dagger
-    h = (grad_rho - np.einsum("kij,ji->k", grad_rho, rho).real[:, None, None] * np.eye(4)) / trace
+    esc = raw / trace
+    p, vec = np.linalg.eigh(esc)
+    p = np.clip(p, 0.0, None)
+    # over p.max(), p**(1/q) cannot all underflow at small q
+    root = (p / p.max()) ** (1.0 / q)
+    lam = root / root.sum()
+    ln_p = np.log(np.maximum(p, _GRAD_FLOOR))
+    ln_lam = (ln_p - np.log(p.max())) / q - np.log(root.sum())
+    entropy = spectrum_entropy(lam, q)
+    # dS/dp up to a multiple of the identity, which the trace projection below drops
+    grad_s = -((lam ** q).sum() * qexpm1(ln_lam, 1.0 - q) + entropy * np.exp(ln_lam - ln_p))
+    grad_p = np.stack([(vec * grad_s) @ vec.conj().T, b_op, b2_op])
+    # Tr(G P) is the projection's shift and, for G = B and B^2, the escort value
+    shift = np.einsum("kij,ji->k", grad_p, esc).real
+    # chain through P = raw / Tr raw, then raw = X X^dagger
+    h = (grad_p - shift[:, None, None] * np.eye(4)) / trace
     hx = h @ xm
     grad = 2.0 * np.concatenate([hx.real.reshape(3, 16), hx.imag.reshape(3, 16)], axis=1)
-    return lam, spectrum_entropy(lam, q), grad[0], np.array([e1, e2]), grad[1:]
+    return lam, entropy, grad[0], shift[1:], grad[1:]
 
 
 def maxent_general_oracle(c: ConstraintSet, seed: int, budget: int = 6000) -> OracleResult:
     """Try to beat the closed form over the full 4x4 state space.
 
     From a seeded random start, SLSQP maximizes S_q with the two escort
-    constraints as equalities, resuming from where it stopped until the
-    constraint residual is at most 1e-6.  Raises :class:`BudgetExhausted`
-    once ``budget`` objective evaluations are spent, or when a resumed solve
-    no longer moves.
+    constraints as equalities, resuming from where it stopped until a solve
+    ends below its iteration limit with constraint residual at most 1e-6.
+    Raises :class:`BudgetExhausted` once ``budget`` objective evaluations are
+    spent, or when a resumed solve no longer moves.
 
     Falsifier contract: a result with entropy at most the closed-form value
     (within tolerance) is evidence, not proof, that the closed form is the
@@ -180,8 +169,8 @@ def maxent_general_oracle(c: ConstraintSet, seed: int, budget: int = 6000) -> Or
     def exhausted():
         residual = np.max(np.abs(last[3] - target))
         return BudgetExhausted(
-            f"constraint residual {residual:.3g} above {_RESIDUAL_TARGET} "
-            f"after {evaluations} objective evaluations"
+            f"no solve ended at constraint residual <= {_RESIDUAL_TARGET} after {evaluations} "
+            f"objective evaluations; the last evaluated point has {residual:.3g}"
         )
 
     # SLSQP asks for the objective, the constraints and their gradients
@@ -201,11 +190,12 @@ def maxent_general_oracle(c: ConstraintSet, seed: int, budget: int = 6000) -> Or
     x = 0.5 * rng.standard_normal(32)
     while True:
         x_prev = x
-        x = minimize(lambda x: (-evaluate(x)[1], -evaluate(x)[2]), x, jac=True, method="SLSQP",
-                     constraints=constraints, options={"maxiter": budget, "ftol": _SLSQP_FTOL}).x
+        solve = minimize(lambda x: (-evaluate(x)[1], -evaluate(x)[2]), x, jac=True, method="SLSQP",
+                         constraints=constraints, options={"ftol": _SLSQP_FTOL})
+        x = solve.x
         lam, entropy, _, escorts, _ = evaluate(x)
         residual = float(np.max(np.abs(escorts - target)))
-        if residual <= _RESIDUAL_TARGET:
+        if residual <= _RESIDUAL_TARGET and solve.status != _SLSQP_ITERATION_LIMIT:
             return OracleResult(
                 eigenvalues=np.sort(lam),
                 achieved_entropy=entropy,

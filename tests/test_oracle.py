@@ -1,12 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import AGREEMENT_QS, interior_grid
+from conftest import AGREEMENT_QS, B_MAX, interior_grid
+from qmaxent.bell import chsh_operator
 from qmaxent.errors import BudgetExhausted
 from qmaxent.inference import escort_weights, infer_state, validate_constraints
 from qmaxent.oracle import (
+    _entropy_and_escorts,
     compare_states,
     escort_residual,
     maxent_general_oracle,
@@ -131,20 +134,81 @@ class TestGeneralOracle:
                 assert abs(result.achieved_entropy - closed) <= 1e-10, (q, seed)
 
     def test_budget_caps_the_evaluations(self, monkeypatch):
-        # a small-q point the solve does not converge on within 1000 evaluations
+        # a small-q sweep point whose solve needs about 5000 evaluations; the
+        # message gives the residual of the last point evaluated
         import qmaxent.oracle as oracle_module
 
         calls = []
         evaluate = oracle_module._entropy_and_escorts
 
         def counting(x, *args):
-            calls.append(x)
-            return evaluate(x, *args)
+            calls.append(evaluate(x, *args))
+            return calls[-1]
 
         monkeypatch.setattr(oracle_module, "_entropy_and_escorts", counting)
-        with pytest.raises(BudgetExhausted, match="after 1000 objective evaluations"):
-            maxent_general_oracle(validate_constraints(0.0805, 1.0, 6.0), seed=1, budget=1000)
+        c = validate_constraints(0.0847090458318923, 1.154634899260325, 4.46626559334958)
+        with pytest.raises(BudgetExhausted, match="after 1000 objective evaluations") as info:
+            maxent_general_oracle(c, seed=1584930775, budget=1000)
         assert len(calls) <= 1000
+        residual = np.max(np.abs(calls[-1][3] - np.array([c.b_q, c.sigma2_q])))
+        assert str(info.value).endswith(f"; the last evaluated point has {residual:.3g}")
+
+    def test_small_q_sweep_meets_the_target(self):
+        # the [0.05, 0.3] band of the seeded 180-point sweep: q log-uniform,
+        # then u, v and the start seed; the first 120 draws are the [0.3, 20] band
+        rng = random.Random(42)
+        passes = 0
+        for k in range(160):
+            lo, hi = (0.3, 20.0) if k < 120 else (0.05, 0.3)
+            q = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            u, v = rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98)
+            seed = rng.randrange(2**31)
+            if k < 120:
+                continue
+            b = B_MAX * u
+            c = validate_constraints(q, b, B_MAX * b + v * (8.0 - B_MAX * b))
+            try:
+                result = maxent_general_oracle(c, seed=seed)
+            except BudgetExhausted:
+                continue
+            excess = result.achieved_entropy - entropy_of_state(infer_state(c))
+            passes += result.constraint_residual <= 1e-6 and excess <= 1e-6
+        assert passes >= 36
+
+
+def _escort_x(rng, rank=4):
+    """32 reals of a random X of the given rank."""
+    xm = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    xm = np.concatenate([xm, np.zeros((4, 4 - rank))], axis=1)
+    return np.concatenate([xm.real.ravel(), xm.imag.ravel()])
+
+
+class TestEscortSearchGradients:
+    @pytest.mark.parametrize("q", [0.05, 0.3, 1.0, 1.0 + 1e-9, 2.0, 7.0])
+    def test_match_central_differences(self, rng, q):
+        ops = chsh_operator()
+        x = _escort_x(rng)
+        _, _, grad, _, jac = _entropy_and_escorts(x, q, ops.b_op, ops.b_squared)
+        num_grad, num_jac = np.zeros(32), np.zeros((2, 32))
+        for i in range(32):
+            step = np.zeros(32)
+            step[i] = 1e-6
+            up = _entropy_and_escorts(x + step, q, ops.b_op, ops.b_squared)
+            down = _entropy_and_escorts(x - step, q, ops.b_op, ops.b_squared)
+            num_grad[i] = (up[1] - down[1]) / 2e-6
+            num_jac[:, i] = (up[3] - down[3]) / 2e-6
+        assert np.linalg.norm(grad - num_grad) <= 1e-5 * np.linalg.norm(num_grad)
+        assert np.linalg.norm(jac - num_jac) <= 1e-5 * np.linalg.norm(num_jac)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_finite_at_rank_deficient_states(self, rng, rank):
+        ops = chsh_operator()
+        x = _escort_x(rng, rank)
+        for q in (0.05, 0.5, 1.0, 2.0, 200.0):
+            lam, entropy, grad, escorts, jac = _entropy_and_escorts(x, q, ops.b_op, ops.b_squared)
+            for part in (lam, entropy, grad, escorts, jac):
+                assert np.all(np.isfinite(part)), (rank, q)
 
 
 class TestCompareStates:
