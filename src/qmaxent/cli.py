@@ -174,36 +174,24 @@ def _cmd_verify(args) -> int:
     if args.oracle == "split":
         result = maxent_split_oracle(c)
         diff = compare_states(state, result)
-        payload = {
-            "achieved_entropy": result.achieved_entropy,
-            "closed_form_entropy": closed,
-            "constraint_residual": result.constraint_residual,
-            "iterations": result.iterations,
-            "max_eigenvalue_diff": diff,
-            "oracle": "split",
-            "passed": diff < _SPLIT_TOL,
-        }
-        failure = None if diff < _SPLIT_TOL else (
-            f"spectrum mismatch {diff:.3g} exceeds {_SPLIT_TOL}")
+        payload = {"max_eigenvalue_diff": diff, "passed": diff < _SPLIT_TOL}
+        failure = f"spectrum mismatch {diff:.3g} exceeds {_SPLIT_TOL}"
     else:
         result = maxent_general_oracle(c, seed=args.seed, budget=args.budget)
         excess = result.achieved_entropy - closed
         payload = {
-            "achieved_entropy": result.achieved_entropy,
-            "closed_form_entropy": closed,
-            "constraint_residual": result.constraint_residual,
             "entropy_excess": excess,
-            "iterations": result.iterations,
             "note": ("falsifier only: failure to beat the closed form is "
                      "evidence, not a proof of optimality"),
-            "oracle": "general",
             "passed": excess <= _ENTROPY_TOL,
             "seed": args.seed,
         }
-        failure = None if excess <= _ENTROPY_TOL else (
-            f"oracle exceeded the closed-form entropy by {excess:.3g}")
+        failure = f"oracle exceeded the closed-form entropy by {excess:.3g}"
+    payload.update(achieved_entropy=result.achieved_entropy, closed_form_entropy=closed,
+                   constraint_residual=result.constraint_residual,
+                   iterations=result.iterations, oracle=args.oracle)
     _emit(to_json(payload) if args.json else to_plain(payload), args.out)
-    if failure is not None:
+    if not payload["passed"]:
         print(f"verify failed: {failure}", file=sys.stderr)
         return 4
     return 0

@@ -61,11 +61,10 @@ def qexpm1(a, t):
 
 
 def qlog1p(x, t):
-    """log1p(t*x)/t on floats or arrays, continuous through t = 0 where it equals x."""
+    """log1p(t*x)/t on floats, continuous through t = 0 where it equals x."""
     if t == 0.0:
         return x
-    y = x * t
-    return (math.log1p(y) if isinstance(y, float) else np.log1p(y)) / t
+    return math.log1p(x * t) / t
 
 
 @dataclass(frozen=True)
@@ -207,23 +206,21 @@ def infer_state(c: ConstraintSet) -> InferredState:
 
 @dataclass(frozen=True)
 class SpectrumBatch:
-    """infer_state over arrays of data at one q, with its entropy S_q; NaN where infeasible."""
+    """The spectrum of infer_state over arrays of data at one q; NaN where infeasible."""
 
     feasible: np.ndarray
     eig_phi_plus: np.ndarray
     eig_psi_minus: np.ndarray
     eig_deg: np.ndarray
-    Z_q: np.ndarray
-    c_q: np.ndarray
-    S_q: np.ndarray
     lambda_max: np.ndarray
 
 
 def infer_spectra(q: float, b_q, sigma2_q) -> SpectrumBatch:
-    """infer_state in one numpy pass over arrays of (b_q, sigma2_q), agreeing to a few ulp.
+    """infer_state's spectrum in one numpy pass over arrays of (b_q, sigma2_q), to a few ulp.
 
-    Cells that validate_constraints would reject are masked, not raised; clamps,
-    the max-shifted log-domain roots and ln Z_q are those of escort_map.
+    Cells that validate_constraints would reject are masked, not raised; the clamps
+    and the max-shifted log-domain roots are those of escort_map, which alone
+    evaluates ln Z_q.
     """
     if not (q > 0.0) or not math.isfinite(q):
         raise QOutOfDomain(f"entropic index must satisfy q > 0, got q={q}")
@@ -235,22 +232,13 @@ def infer_spectra(q: float, b_q, sigma2_q) -> SpectrumBatch:
     w = np.stack([(s2 + t) / 16.0, (s2 - t) / 16.0, (8.0 - s2) / 16.0])
     w[(w > -CLAMP_TOL) & (w < 0.0)] = 0.0
     w[(w > 1.0) & (w < 1.0 + CLAMP_TOL)] = 1.0
-    e = (1.0 - q) / q
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # log_w / q overflows at subnormal q
+    with np.errstate(invalid="ignore", over="ignore"):
         log_w = np.log(w, out=np.full_like(w, -np.inf), where=w > 0.0)  # -inf off the support
-        top = log_w.max(axis=0)
-        x_sum = 0.0
-        # escort_map slot by slot over (plus, minus, zero, zero); the roots take over the weights
-        for wi, ai, m in zip(w, log_w, (1.0, 1.0, 2.0)):
-            y = np.exp(ai / q - top / q)
-            u = wi if e >= 0.0 else np.exp(top) * y
-            x_sum = x_sum + m * np.where(u > 0.0, u * qexpm1(ai - top, abs(e)), 0.0)
-            wi[:] = y
-        ln_z = -(top + qlog1p(x_sum, e))
-        eig = w
+        # escort_map's roots on the (plus, minus, zero) slots
+        eig = np.exp(log_w / q - log_w.max(axis=0) / q)
         eig /= eig[0] + eig[1] + 2.0 * eig[2]
-        z, c_q, s_q = np.exp(ln_z), np.exp((1.0 - q) * ln_z), qexpm1(ln_z, 1.0 - q)
-    fields = (*eig, z, c_q, s_q, np.maximum(eig[0], eig[2]))
+    fields = (*eig, np.maximum(eig[0], eig[2]))
     for x in fields:
         x[~feasible] = np.nan
     return SpectrumBatch(feasible, *fields)

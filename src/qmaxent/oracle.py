@@ -135,8 +135,13 @@ def _entropy_and_escorts(x, q, b_op, b2_op):
     ln_p = np.log(np.maximum(p, _GRAD_FLOOR))
     ln_lam = (ln_p - np.log(p.max())) / q - np.log(root.sum())
     entropy = spectrum_entropy(lam, q)
+    ratio = np.exp(ln_lam - ln_p)  # lambda/p = c_q * lambda**(1-q)
+    # c_q * qexpm1(ln lambda, 1-q), taken for q > 1 as the equal ratio * qexpm1(ln lambda, q-1):
+    # at large q, c_q = sum lambda**q underflows while lambda**(1-q) overflows
+    c_term = (ratio * qexpm1(ln_lam, q - 1.0) if q > 1.0
+              else (lam ** q).sum() * qexpm1(ln_lam, 1.0 - q))
     # dS/dp up to a multiple of the identity, which the trace projection below drops
-    grad_s = -((lam ** q).sum() * qexpm1(ln_lam, 1.0 - q) + entropy * np.exp(ln_lam - ln_p))
+    grad_s = -(c_term + entropy * ratio)
     grad_p = np.stack([(vec * grad_s) @ vec.conj().T, b_op, b2_op])
     # Tr(G P) is the projection's shift and, for G = B and B^2, the escort value
     shift = np.einsum("kij,ji->k", grad_p, esc).real

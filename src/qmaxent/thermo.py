@@ -21,7 +21,6 @@ from .inference import (
     ConstraintSet,
     InferredState,
     Multipliers,
-    infer_spectra,
     infer_state,
     lagrange_multipliers,
     qexpm1,
@@ -128,12 +127,15 @@ class PurificationPath:
 def purification_path_check(q: float, steps: int) -> PurificationPath:
     """Walk the line sigma2_q = 2*sqrt(2)*b_q with b_q = 2*sqrt(2)*t, t in (0, 1].
 
-    At t = 1 the data force the pure maximally entangled state: Z_q = 1 and
-    S_q = 0 exactly.  The fidelity recorded is the overlap with that target
-    state, which is simply the phi_plus eigenvalue.
+    Each point is one infer_state call.  At t = 1 the data force the pure
+    maximally entangled state: Z_q = 1 and S_q = 0 exactly.  The fidelity
+    recorded is the overlap with that target state, which is simply the
+    phi_plus eigenvalue.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 path steps, got {steps}")
     ts = np.linspace(1.0 / steps, 1.0, steps)
-    batch = infer_spectra(q, B_MAX * ts, 8.0 * ts)
-    return PurificationPath(t=ts, Z_q=batch.Z_q, S_q=batch.S_q, fidelity=batch.eig_phi_plus)
+    states = [infer_state(validate_constraints(q, B_MAX * t, 8.0 * t)) for t in ts.tolist()]
+    return PurificationPath(t=ts, Z_q=np.array([s.Z_q for s in states]),
+                            S_q=np.array([entropy_of_state(s) for s in states]),
+                            fidelity=np.array([s.eig_phi_plus for s in states]))

@@ -269,6 +269,12 @@ class TestVerify:
         assert payload["entropy_excess"] <= 1e-6
         assert "falsifier" in payload["note"]
 
+    def test_general_oracle_at_large_q(self, capsys):
+        # sum(lambda**q) underflowed while lambda**(1-q) overflowed in the gradient
+        assert cli.run(["verify", "--oracle", "general", "--q", "1000", "--b", "1",
+                        "--sigma2", "5"]) == 0
+        assert "passed = true\n" in capsys.readouterr().out
+
     def test_forced_failure_exits_4(self, capsys, monkeypatch):
         bogus = OracleResult(eigenvalues=np.array([0.7, 0.1, 0.1, 0.1]),
                              achieved_entropy=0.9, constraint_residual=0.0,

@@ -20,7 +20,6 @@ from qmaxent.errors import (
     UncertaintyViolated,
 )
 from qmaxent.inference import infer_spectra, infer_state, to_density_matrix, validate_constraints
-from qmaxent.thermo import entropy_of_state
 
 
 def inferred(q, b=math.sqrt(2.0), s2=6.0):
@@ -134,15 +133,13 @@ class TestKernelAgainstScalarPath:
             except UncertaintyViolated:
                 assert not g.feasible[i] and not g.entangled[i]
                 assert all(math.isnan(x[i]) for x in (g.lambda_max, batch.eig_phi_plus,
-                                                      batch.Z_q, batch.c_q, batch.S_q))
+                                                      batch.eig_psi_minus, batch.eig_deg))
                 continue
             assert g.feasible[i]
             assert g.entangled[i] == criterion_verdict(state).entangled
             assert abs(g.lambda_max[i] - state.lambda_max) <= 4 * np.spacing(state.lambda_max)
-            scalar = (state.eig_phi_plus, state.eig_psi_minus, state.eig_deg,
-                      state.Z_q, state.c_q, entropy_of_state(state))
-            vector = (batch.eig_phi_plus[i], batch.eig_psi_minus[i], batch.eig_deg[i],
-                      batch.Z_q[i], batch.c_q[i], batch.S_q[i])
+            scalar = (state.eig_phi_plus, state.eig_psi_minus, state.eig_deg)
+            vector = (batch.eig_phi_plus[i], batch.eig_psi_minus[i], batch.eig_deg[i])
             assert np.allclose(vector, scalar, rtol=1e-11, atol=1e-300), (i, vector, scalar)
         assert np.array_equal(batch.feasible, g.feasible)
 
