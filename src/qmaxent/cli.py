@@ -26,11 +26,8 @@ from .measures import mutual_entropy, mutual_entropy_closed_form
 from .oracle import compare_states, maxent_general_oracle, maxent_split_oracle
 from .thermo import entropy_of_state, legendre_report
 
-_FLOAT_DIGITS = 9
-
-
 def _fmt(x: float) -> str:
-    return f"{x:.{_FLOAT_DIGITS}g}"
+    return f"{x:.9g}"
 
 
 def _scalar(value) -> str:

@@ -67,11 +67,16 @@ def qlog1p(x, t):
     return math.log1p(x * t) / t
 
 
+def _check_q(q: float) -> None:
+    if not sys.float_info.min <= q < math.inf:
+        raise QOutOfDomain(f"entropic index q={q} is not a normal float >= {sys.float_info.min}")
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Validated problem input (q, b_q, sigma2_q).
 
-    Construction enforces the data domain: q > 0, 0 <= b_q <= 2*sqrt(2),
+    Construction enforces the data domain: q > 0 (a normal float), 0 <= b_q <= 2*sqrt(2),
     sigma2_q <= 8 and the uncertainty relation sigma2_q >= 2*sqrt(2)*b_q,
     all with slack 1e-12.
     """
@@ -82,8 +87,7 @@ class ConstraintSet:
 
     def __post_init__(self):
         q, b, s2 = self.q, self.b_q, self.sigma2_q
-        if not (q > 0.0) or not math.isfinite(q):
-            raise QOutOfDomain(f"entropic index must satisfy q > 0, got q={q}")
+        _check_q(q)
         if not math.isfinite(b) or b < -VALIDATION_TOL or b > B_MAX + VALIDATION_TOL:
             raise BOutOfRange(f"b_q={b} outside [0, 2*sqrt(2)={B_MAX:.7f}]")
         if not math.isfinite(s2) or s2 > SIGMA_MAX + VALIDATION_TOL:
@@ -124,9 +128,9 @@ def escort_weights(c: ConstraintSet) -> EscortWeights:
     """Escort weights of the optimal state, linear in the data.
 
     Sub-1e-13 negative dust from boundary data (sigma2_q = 2*sqrt(2)*b_q
-    or sigma2_q = 8 hit in floating point) is clamped to exact zero.
+    or sigma2_q = 8 hit in floating point) is clamped to exact zero, as is negative b_q dust.
     """
-    t = B_MAX * c.b_q
+    t = B_MAX * max(c.b_q, 0.0)
     return EscortWeights(
         w_plus=_clamp01((c.sigma2_q + t) / 16.0),
         w_minus=_clamp01((c.sigma2_q - t) / 16.0),
@@ -165,7 +169,7 @@ class InferredState:
 
 
 def escort_map(w, q: float):
-    """The closed form on escort weights w (floats summing to one): (roots, ln Z_q).
+    """The closed form on escort weights w (floats summing to one): (roots, ln Z_q, ln(w_max*Z_q)).
 
     The eigenvalues are roots / sum(roots), the roots w_i**(1/q) relative to the largest so
     that they cannot all underflow.  For q > 1 the sum in ln Z_q is taken as its value
@@ -184,7 +188,8 @@ def escort_map(w, q: float):
         roots.append(y)
     if e < 0.0:
         x_sum *= math.exp(top)
-    return roots, -(top + qlog1p(x_sum, e))
+    ln_wz = -qlog1p(x_sum, e)  # ln Z_q + a*, which keeps its accuracy however small q is
+    return roots, ln_wz - top, ln_wz
 
 
 def infer_state(c: ConstraintSet) -> InferredState:
@@ -195,7 +200,7 @@ def infer_state(c: ConstraintSet) -> InferredState:
     """
     w = escort_weights(c)
     q = c.q
-    (yp, ym, y0, _), ln_z = escort_map(w.as_tuple(), q)
+    (yp, ym, y0, _), ln_z, _ = escort_map(w.as_tuple(), q)
     y_norm = yp + ym + 2.0 * y0
     return InferredState(
         constraints=c, weights=w,
@@ -206,42 +211,37 @@ def infer_state(c: ConstraintSet) -> InferredState:
 
 @dataclass(frozen=True)
 class SpectrumBatch:
-    """The spectrum of infer_state over arrays of data at one q; NaN where infeasible."""
+    """The validation mask and infer_state's lambda_max at one q; NaN where infeasible."""
 
     feasible: np.ndarray
-    eig_phi_plus: np.ndarray
-    eig_psi_minus: np.ndarray
-    eig_deg: np.ndarray
     lambda_max: np.ndarray
 
 
 def infer_spectra(q: float, b_q, sigma2_q) -> SpectrumBatch:
-    """infer_state's spectrum in one numpy pass over arrays of (b_q, sigma2_q), to a few ulp.
+    """infer_state's lambda_max in one numpy pass over arrays of (b_q, sigma2_q), to a few ulp.
 
-    Cells that validate_constraints would reject are masked, not raised; the clamps
-    and the max-shifted log-domain roots are those of escort_map, which alone
-    evaluates ln Z_q.
+    Cells that validate_constraints would reject are masked, not raised, and skipped.  The
+    clamps and the max-shifted roots are escort_map's, which alone evaluates ln Z_q; the
+    largest root is exactly 1, so lambda_max is the reciprocal of the root sum.
     """
-    if not (q > 0.0) or not math.isfinite(q):
-        raise QOutOfDomain(f"entropic index must satisfy q > 0, got q={q}")
+    _check_q(q)
     b, s2 = np.asarray(b_q, dtype=float), np.asarray(sigma2_q, dtype=float)
     t = B_MAX * b
     # NaN and infinite data fail at least one of these comparisons
     feasible = ((b >= -VALIDATION_TOL) & (b <= B_MAX + VALIDATION_TOL)
                 & (s2 <= SIGMA_MAX + VALIDATION_TOL) & (s2 - t >= -VALIDATION_TOL))
+    s2, t = s2[feasible], B_MAX * np.maximum(b[feasible], 0.0)
     w = np.stack([(s2 + t) / 16.0, (s2 - t) / 16.0, (8.0 - s2) / 16.0])
     w[(w > -CLAMP_TOL) & (w < 0.0)] = 0.0
     w[(w > 1.0) & (w < 1.0 + CLAMP_TOL)] = 1.0
-    # log_w / q overflows at subnormal q
-    with np.errstate(invalid="ignore", over="ignore"):
+    # log_w / q overflows at tiny q
+    with np.errstate(over="ignore"):
         log_w = np.log(w, out=np.full_like(w, -np.inf), where=w > 0.0)  # -inf off the support
         # escort_map's roots on the (plus, minus, zero) slots
-        eig = np.exp(log_w / q - log_w.max(axis=0) / q)
-        eig /= eig[0] + eig[1] + 2.0 * eig[2]
-    fields = (*eig, np.maximum(eig[0], eig[2]))
-    for x in fields:
-        x[~feasible] = np.nan
-    return SpectrumBatch(feasible, *fields)
+        roots = np.exp(log_w / q - log_w.max(axis=0) / q)
+    lambda_max = np.full(feasible.shape, np.nan)
+    lambda_max[feasible] = 1.0 / (roots[0] + roots[1] + 2.0 * roots[2])
+    return SpectrumBatch(feasible, lambda_max)
 
 
 @dataclass(frozen=True)
@@ -257,18 +257,23 @@ class MuFactors:
     mu_minus: float
 
 
+def _mu_exponents(s: InferredState):
+    """ln(w*Z_q) as (ln w - ln w_max) + escort_map's ln(w_max*Z_q) on (w_zero, w_minus, w_plus)."""
+    w = s.weights.as_tuple()
+    top, ln_wz = math.log(max(w)), escort_map(w, s.q)[2]
+    return [(math.log(x) - top) + ln_wz if x > 0.0 else -math.inf for x in w[2::-1]]
+
+
 def mu_factors(s: InferredState) -> MuFactors:
     """(w * Z_q)**e, e = (1-q)/q, on each slot; a zero weight gives 0 for q < 1, else inf."""
     e = (1.0 - s.q) / s.q
-    ln_z = math.log(s.Z_q)
 
-    def mu(weight):
-        if weight > 0.0:
-            return math.exp(e * (math.log(weight) + ln_z))
+    def mu(a):
+        if a > -math.inf:
+            return math.exp(e * a)
         return 0.0 if e > 0.0 else math.inf
 
-    w = s.weights
-    return MuFactors(mu_zero=mu(w.w_zero), mu_plus=mu(w.w_minus), mu_minus=mu(w.w_plus))
+    return MuFactors(*map(mu, _mu_exponents(s)))
 
 
 @dataclass(frozen=True)
@@ -304,9 +309,7 @@ def lagrange_multipliers(s: InferredState) -> Multipliers:
     q, b, s2 = c.q, c.b_q, c.sigma2_q
     beta = b / B_MAX
     e = (1.0 - q) / q
-    ln_z = math.log(s.Z_q)
-    a_plus = math.log(w.w_minus) + ln_z   # exponent argument of mu_plus
-    a_minus = math.log(w.w_plus) + ln_z   # exponent argument of mu_minus
+    _, a_plus, a_minus = _mu_exponents(s)
     lam1 = s.c_q * math.exp(e * a_minus) * qexpm1(a_plus - a_minus, e) / (2.0 * B_MAX * q)
     bracket = 0.5 * (1.0 - beta) * qexpm1(a_plus, e) + 0.5 * (1.0 + beta) * qexpm1(a_minus, e)
     lam2 = s.c_q * bracket / ((s2 - 8.0) * q)

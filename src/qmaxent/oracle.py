@@ -104,7 +104,7 @@ def maxent_split_oracle(c: ConstraintSet) -> OracleResult:
                 c1 = hi - _GOLDEN * (hi - lo)
                 f1 = log_partition_at(c1)
         t_best = 0.5 * (lo + hi)
-    roots, ln_z = escort_map((w.w_plus, w.w_minus, t_best, free - t_best), q)
+    roots, ln_z, _ = escort_map((w.w_plus, w.w_minus, t_best, free - t_best), q)
     lam = np.asarray(roots) / sum(roots)
     return OracleResult(
         eigenvalues=lam,

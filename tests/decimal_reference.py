@@ -14,6 +14,9 @@ c_q = Y**(-q), with e = (1-q)/q,
     lambda_1 = -(c_q/Y) * (2*sqrt(2)/16) * (w_plus**e - w_minus**e) / (1-q)
     lambda_2 = -(c_q/Y) * (1/16) * (w_plus**e + w_minus**e - 2*w_zero**e) / (1-q)
 
+They are evaluated in the equal form (c_q/Y) * w**e = c_q**2 * lambda**(1-q), with
+ln lambda_i = (ln w_i - ln w_max)/q - ln sum_j exp((ln w_j - ln w_max)/q), so that
+no power w**(1/q) underflows to zero however small q is.
 At q = 1 every quotient by (1 - q) is replaced by its limit: S_1 = ln Z_1 is
 the Gibbs entropy of the weights and w**e / (1-q) differences become
 differences of ln w.  Both marginals of the state are I/2, so its mutual
@@ -53,12 +56,14 @@ def closed_form(q: float, b: float, s2: float) -> Reference:
             lam1 = -slope / 16 * (w_plus.ln() - w_minus.ln())
             lam2 = -(w_plus.ln() + w_minus.ln() - 2 * w_zero.ln()) / 16
             return Reference(ln_Z=+s, S=+s, c=Decimal(1), lambda_1=+lam1, lambda_2=+lam2)
-        inv_q, e = 1 / q, (1 - q) / q
-        y = sum(_power(w, inv_q) for w in (w_plus, w_minus, w_zero, w_zero))
-        c = _power(y, -q)
-        p_plus, p_minus, p_zero = (_power(w, e) for w in (w_plus, w_minus, w_zero))
-        lam1 = -(c / y) * slope / 16 * (p_plus - p_minus) / (1 - q)
-        lam2 = -(c / y) / 16 * (p_plus + p_minus - 2 * p_zero) / (1 - q)
+        logs = [w.ln() for w in (w_plus, w_minus, w_zero, w_zero)]
+        shifted = [(x - max(logs)) / q for x in logs]
+        ln_norm = sum(x.exp() for x in shifted).ln()
+        ln_lam = [x - ln_norm for x in shifted]
+        c = sum((q * x).exp() for x in ln_lam)
+        p_plus, p_minus, p_zero = (((1 - q) * x).exp() for x in ln_lam[:3])
+        lam1 = -c * c * slope / 16 * (p_plus - p_minus) / (1 - q)
+        lam2 = -c * c / 16 * (p_plus + p_minus - 2 * p_zero) / (1 - q)
         return Reference(ln_Z=c.ln() / (1 - q), S=(c - 1) / (1 - q), c=c,
                          lambda_1=lam1, lambda_2=lam2)
 

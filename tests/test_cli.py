@@ -48,6 +48,19 @@ class TestInfer:
         assert "uncertainty" in err
         assert capsys.readouterr().out == ""
 
+    def test_tiny_q_and_negative_b_dust_run(self, capsys):
+        # both once exited 1: e = (1-q)/q turned the rounding of ln w + ln Z_q, or the
+        # unclamped b_q < 0, into an OverflowError in the multipliers
+        for flags in (["--q", "4.0791560137447976e-20", "--b", "1.006362305139997",
+                       "--sigma2", "4.687347012544155"],
+                      ["--q", "1e-15", "--b=-1e-12", "--sigma2", "5"]):
+            assert cli.run(["infer", *flags]) == 0
+            assert "nan" not in capsys.readouterr().out
+
+    def test_subnormal_q_is_domain_error(self, capsys):
+        assert cli.run(["infer", "--q", "1e-310", "--b", "1", "--sigma2", "5"]) == 3
+        assert "not a normal float" in capsys.readouterr().err
+
     def test_plain_output(self, capsys):
         assert cli.run(["infer", "--q", "2", "--b", "1", "--sigma2", "6"]) == 0
         out = capsys.readouterr().out

@@ -9,7 +9,8 @@ from qmaxent.thermo import entropy_of_state
 
 #: q - 1 across the width of the former Gibbs branch, on both sides of q = 1
 NEAR_ONE = (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8, 1e-6, -1e-6, 1e-4, -1e-4, 1e-2, -1e-2)
-FAR = (1e-3, 0.2, 3.0, 50.0, 600.0)
+#: below q ~ 1e-11, e = (1-q)/q once amplified the rounding of ln w + ln Z_q in the multipliers
+FAR = (1e-100, 1e-20, 3.12533e-12, 1e-3, 0.2, 3.0, 50.0, 600.0)
 QS = tuple(1.0 + d for d in NEAR_ONE) + FAR
 POINTS = ((1.0, 5.0), (1.2, 5.5), (0.3, 2.0), (2.0, 7.5))
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -92,9 +93,11 @@ class TestValidation:
             validate_constraints(2.0, 1.0, 9.0)
 
     def test_q_domain(self):
-        for q in (0.0, -1.0, float("nan")):
+        # at subnormal q, 1/q overflows and the closed form came out all nan
+        for q in (0.0, -1.0, float("nan"), 1e-310, 5e-324):
             with pytest.raises(QOutOfDomain):
                 validate_constraints(q, 1.0, 6.0)
+        validate_constraints(sys.float_info.min, 1.0, 6.0)
 
     def test_closed_inequalities_have_tolerance(self):
         validate_constraints(2.0, B_MAX + 1e-13, 8.0 + 1e-13)
@@ -224,6 +227,14 @@ class TestPartitionIdentities:
             assert abs(mu.mu_plus ** e - (w.w_minus * s.Z_q) ** (1 / q)) < 1e-10
             assert abs(mu.mu_minus ** e - (w.w_plus * s.Z_q) ** (1 / q)) < 1e-10
             assert abs(mu.mu_zero ** e - (w.w_zero * s.Z_q) ** (1 / q)) < 1e-10
+
+    def test_mu_finite_at_tiny_q(self):
+        # e*(ln w + ln Z_q) with e = (1-q)/q ~ 2.5e19 overflowed on the rounding of the sum
+        s = infer_state(validate_constraints(4.0791560137447976e-20, 1.006362305139997,
+                                             4.687347012544155))
+        mu, e1 = mu_factors(s), 1.0 / (1.0 - s.q)
+        z1 = 2 * mu.mu_zero ** e1 + mu.mu_minus ** e1 + mu.mu_plus ** e1
+        assert abs(z1 - s.Z_q) <= 1e-10 * s.Z_q
 
 
 class TestLagrangeMultipliers:

@@ -3,10 +3,8 @@
 The data lie inside the domain and on each of its edges: the uncertainty
 line sigma2 = 2*sqrt(2)*b, sigma2 = 8, and subnormal sigma2 at b = 0, whose
 subnormal weights would overflow a plain w*expm1(e*d) term at large q.
-The closed forms are checked for q in [1e-300, 1e300]; the multipliers and
-the CLI exit codes for q in [1e-6, 1e6], because below q ~ 4e-20
-`lagrange_multipliers` still overflows: the round-off left in
-ln w + ln Z_q is multiplied by (1-q)/q before it is exponentiated.
+Everything is checked for q in [1e-300, 1e300]: the closed forms, the
+multipliers and the CLI exit codes.
 """
 
 import contextlib
@@ -45,7 +43,6 @@ def domain_data(draw):
     return b, floor + draw(st.floats(0.0, 1.0)) * (8.0 - floor)
 
 
-QS = log_uniform(1e-6, 1e6)
 FULL_QS = log_uniform(1e-300, 1e300)
 
 
@@ -56,16 +53,14 @@ def test_scalar_and_array_closed_forms_agree_and_are_finite(q, data):
     state = infer_state(validate_constraints(q, b, s2))
     batch = infer_spectra(q, np.array([b]), np.array([s2]))
     assert batch.feasible[0]
-    scalar = (state.eig_phi_plus, state.eig_psi_minus, state.eig_deg)
-    array = (batch.eig_phi_plus[0], batch.eig_psi_minus[0], batch.eig_deg[0])
-    for x, y in zip(scalar, array):
-        assert math.isfinite(x) and math.isfinite(y)
-        assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-300), (x, y)
+    x, y = state.lambda_max, batch.lambda_max[0]
+    assert math.isfinite(x) and math.isfinite(y)
+    assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-300), (x, y)
     assert all(math.isfinite(x) for x in (state.Z_q, state.c_q, entropy_of_state(state)))
 
 
 @PROPERTY
-@given(q=QS, data=domain_data())
+@given(q=FULL_QS, data=domain_data())
 def test_entropy_finite_and_multipliers_finite_or_divergent(q, data):
     state = infer_state(validate_constraints(q, *data))
     assert math.isfinite(entropy_of_state(state))
@@ -84,7 +79,7 @@ def test_closed_form_mutual_entropy_finite(q, data, q_prime):
 
 
 @PROPERTY
-@given(q=QS, data=domain_data(), q_prime=log_uniform(1e-6, 1e6),
+@given(q=FULL_QS, data=domain_data(), q_prime=log_uniform(1e-6, 1e6),
        command=st.sampled_from(("infer", "mutual", "thermo", "verify")))
 def test_cli_exits_only_with_documented_codes(q, data, q_prime, command):
     b, s2 = data
