@@ -144,7 +144,7 @@ class InferredState:
 
     eig_phi_plus, eig_psi_minus and the doubly degenerate eig_deg are the
     eigenvalues on the phi_plus, psi_minus and {phi_minus, psi_plus} slots.
-    Z_q is the partition normalizer and c_q = Z_q**(1-q) = Tr rho**q.
+    Z_q is the partition normalizer, c_q = Z_q**(1-q) = Tr rho**q, ln_wz = ln(w_max*Z_q).
     """
 
     constraints: ConstraintSet
@@ -154,6 +154,7 @@ class InferredState:
     eig_deg: float
     Z_q: float
     c_q: float
+    ln_wz: float
 
     @property
     def q(self) -> float:
@@ -200,12 +201,12 @@ def infer_state(c: ConstraintSet) -> InferredState:
     """
     w = escort_weights(c)
     q = c.q
-    (yp, ym, y0, _), ln_z, _ = escort_map(w.as_tuple(), q)
+    (yp, ym, y0, _), ln_z, ln_wz = escort_map(w.as_tuple(), q)
     y_norm = yp + ym + 2.0 * y0
     return InferredState(
         constraints=c, weights=w,
         eig_phi_plus=yp / y_norm, eig_psi_minus=ym / y_norm, eig_deg=y0 / y_norm,
-        Z_q=math.exp(ln_z), c_q=math.exp((1.0 - q) * ln_z),
+        Z_q=math.exp(ln_z), c_q=math.exp((1.0 - q) * ln_z), ln_wz=ln_wz,
     )
 
 
@@ -237,7 +238,6 @@ def infer_spectra(q: float, b_q, sigma2_q) -> SpectrumBatch:
     # log_w / q overflows at tiny q
     with np.errstate(over="ignore"):
         log_w = np.log(w, out=np.full_like(w, -np.inf), where=w > 0.0)  # -inf off the support
-        # escort_map's roots on the (plus, minus, zero) slots
         roots = np.exp(log_w / q - log_w.max(axis=0) / q)
     lambda_max = np.full(feasible.shape, np.nan)
     lambda_max[feasible] = 1.0 / (roots[0] + roots[1] + 2.0 * roots[2])
@@ -258,14 +258,14 @@ class MuFactors:
 
 
 def _mu_exponents(s: InferredState):
-    """ln(w*Z_q) as (ln w - ln w_max) + escort_map's ln(w_max*Z_q) on (w_zero, w_minus, w_plus)."""
+    """ln(w*Z_q) as (ln w - ln w_max) + s.ln_wz on (w_zero, w_minus, w_plus); -inf at w = 0."""
     w = s.weights.as_tuple()
-    top, ln_wz = math.log(max(w)), escort_map(w, s.q)[2]
-    return [(math.log(x) - top) + ln_wz if x > 0.0 else -math.inf for x in w[2::-1]]
+    top = math.log(max(w))
+    return [(math.log(x) - top) + s.ln_wz if x > 0.0 else -math.inf for x in w[2::-1]]
 
 
 def mu_factors(s: InferredState) -> MuFactors:
-    """(w * Z_q)**e, e = (1-q)/q, on each slot; a zero weight gives 0 for q < 1, else inf."""
+    """(w*Z_q)**e, e = (1-q)/q, from _mu_exponents; a zero weight gives 0 for q < 1, else inf."""
     e = (1.0 - s.q) / s.q
 
     def mu(a):
@@ -295,8 +295,8 @@ def lagrange_multipliers(s: InferredState) -> Multipliers:
         lambda_2 = c_q / ((sigma2_q-8)*q)
                    * ( (1-beta)/2 * qexpm1(a_plus, e) + (1+beta)/2 * qexpm1(a_minus, e) )
 
-    with no pole at q = 1.  They satisfy lambda_1 = dS/db_q and
-    lambda_2 = dS/dsigma2_q at fixed q.
+    with no pole at q = 1, the a_pm from _mu_exponents, accurate as q -> 0.  They satisfy
+    lambda_1 = dS/db_q and lambda_2 = dS/dsigma2_q at fixed q.
     """
     c = s.constraints
     w = s.weights

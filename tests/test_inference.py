@@ -287,7 +287,7 @@ class TestFixedPoint:
         fake = InferredState(
             constraints=s.constraints, weights=s.weights,
             eig_phi_plus=bumped / norm, eig_psi_minus=s.eig_psi_minus / norm,
-            eig_deg=s.eig_deg / norm, Z_q=s.Z_q, c_q=s.c_q,
+            eig_deg=s.eig_deg / norm, Z_q=s.Z_q, c_q=s.c_q, ln_wz=s.ln_wz,
         )
         assert fixed_point_residual(fake, m) > 1e-4
 
