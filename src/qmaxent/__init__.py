@@ -7,6 +7,7 @@ from .errors import (
     ConstraintError,
     DimensionError,
     EmptyGrid,
+    FloatRangeExceeded,
     NegativeBracket,
     NotHermitian,
     QOutOfDomain,

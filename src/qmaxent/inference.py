@@ -60,6 +60,13 @@ def qexpm1(a, t):
     return (math.expm1(x) if isinstance(x, float) else np.expm1(x)) / t
 
 
+def qexpm1_scaled(w: float, a: float, t: float) -> float:
+    """w*qexpm1(a, t) for a float w > 0, as exp(ln w + a*t)*qexpm1(a, -t) where a*t > 0."""
+    if a * t > 0.0:
+        return math.exp(math.log(w) + a * t) * qexpm1(a, -t)
+    return w * qexpm1(a, t)
+
+
 def qlog1p(x, t):
     """log1p(t*x)/t on floats, continuous through t = 0 where it equals x."""
     if t == 0.0:
@@ -173,8 +180,8 @@ def escort_map(w, q: float):
     """The closed form on escort weights w (floats summing to one): (roots, ln Z_q, ln(w_max*Z_q)).
 
     The eigenvalues are roots / sum(roots), the roots w_i**(1/q) relative to the largest so
-    that they cannot all underflow.  For q > 1 the sum in ln Z_q is taken as its value
-    exp(a*) * sum_i root_i*qexpm1(a_i - a*, -e), which subnormal w_i cannot overflow.
+    that they cannot all underflow.  The sum in ln Z_q is taken term by term with
+    qexpm1_scaled, so for q > 1 subnormal w_i cannot overflow it.
     """
     e = (1.0 - q) / q
     top = math.log(max(w))
@@ -182,13 +189,10 @@ def escort_map(w, q: float):
     for x in w:
         if x > 0.0:
             a = math.log(x)
-            y = math.exp(a / q - top / q)
-            x_sum += (x if e >= 0.0 else y) * qexpm1(a - top, abs(e))
+            roots.append(math.exp(a / q - top / q))
+            x_sum += qexpm1_scaled(x, a - top, e)
         else:
-            y = 0.0
-        roots.append(y)
-    if e < 0.0:
-        x_sum *= math.exp(top)
+            roots.append(0.0)
     ln_wz = -qlog1p(x_sum, e)  # ln Z_q + a*, which keeps its accuracy however small q is
     return roots, ln_wz - top, ln_wz
 
@@ -265,13 +269,16 @@ def _mu_exponents(s: InferredState):
 
 
 def mu_factors(s: InferredState) -> MuFactors:
-    """(w*Z_q)**e, e = (1-q)/q, from _mu_exponents; a zero weight gives 0 for q < 1, else inf."""
+    """(w*Z_q)**((1-q)/q), at w = 0 zero for q < 1, else inf; FloatRangeExceeded past the floats."""
     e = (1.0 - s.q) / s.q
 
     def mu(a):
-        if a > -math.inf:
+        if a == -math.inf:
+            return 0.0 if e > 0.0 else math.inf
+        try:
             return math.exp(e * a)
-        return 0.0 if e > 0.0 else math.inf
+        except OverflowError:
+            raise FloatRangeExceeded(f"mu = exp({e * a:.6g}) exceeds the float range") from None
 
     return MuFactors(*map(mu, _mu_exponents(s)))
 

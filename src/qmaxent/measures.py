@@ -1,8 +1,8 @@
 """Entropic functionals: Tsallis entropy, escort expectations, divergences.
 
-The divergence order q_prime of the generalized Kullback-Leibler entropy is
-deliberately independent of the entropic index q used for inference; when a
-caller leaves it unspecified the CLI defaults it to q.
+Each Tsallis sum is taken term by term in Python floats with qexpm1_scaled, and
+a sum past the float range raises FloatRangeExceeded.  The divergence order q_prime
+is independent of the entropic index q used for inference; the CLI defaults it to q.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import (
     SingularReference,
     SupportMismatch,
 )
-from .inference import InferredState, qexpm1
+from .inference import InferredState, qexpm1_scaled
 from .smallmat import (
     SUPPORT_TOL,
     as_matrix,
@@ -29,27 +29,21 @@ from .smallmat import (
 )
 
 
-def _qexpm1_sum(weight, lam, log_ratio, order: float) -> float:
-    """sum of weight * lam * qexpm1(log_ratio, order - 1); FloatRangeExceeded past the float range.
-
-    Where (order-1)*log_ratio > 0 the term is taken as its value exp(ln lam + (order-1)*log_ratio)
-    * qexpm1(log_ratio, 1-order), since expm1 alone can overflow there on a small lam.
-    """
-    t = order - 1.0
-    x = t * log_ratio
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.where(x > 0.0, np.exp(np.log(lam) + x) * qexpm1(log_ratio, -t),
-                         lam * qexpm1(log_ratio, t))
-        k = float((weight * terms).sum())
+def _finite_sum(terms, order: float) -> float:
+    """Sum of float terms in order; FloatRangeExceeded where it leaves the float range."""
+    try:
+        k = sum(terms)
+    except OverflowError:
+        k = math.inf
     if not math.isfinite(k):
         raise FloatRangeExceeded(f"sum of order {order} exceeds the float range")
     return k
 
 
 def spectrum_entropy(lam, q: float) -> float:
-    """Tsallis entropy -sum_i lam_i*qexpm1(ln lam_i, q-1) of a spectrum, over lam_i > 0."""
-    pos = lam[lam > 0.0]
-    return -_qexpm1_sum(1.0, pos, np.log(pos), q)
+    """Tsallis entropy -sum_i lam_i*qexpm1(ln lam_i, q-1) of a spectrum array, over lam_i > 0."""
+    return -_finite_sum((qexpm1_scaled(x, math.log(x), q - 1.0)
+                         for x in lam.tolist() if x > 0.0), q)
 
 
 def tsallis_entropy(rho, q: float) -> float:
@@ -108,8 +102,10 @@ def generalized_kl(rho, ref, q_prime: float) -> float:
             )
     elif lam[own] @ overlap(~ref_own).sum(axis=1) > SUPPORT_TOL:  # mass outside ref's support
         raise SupportMismatch("state support is not contained in the reference support")
-    log_ratio = np.log(lam[own])[:, None] - np.log(mu[ref_own])[None, :]
-    return _qexpm1_sum(overlap(ref_own), lam[own][:, None], log_ratio, q_prime)
+    ln_mu = [math.log(m) for m in mu[ref_own].tolist()]
+    return _finite_sum((o * qexpm1_scaled(x, math.log(x) - b, q_prime - 1.0)
+                        for x, row in zip(lam[own].tolist(), overlap(ref_own).tolist())
+                        for o, b in zip(row, ln_mu)), q_prime)
 
 
 def marginals(rho_ab):
@@ -143,5 +139,5 @@ def mutual_entropy_closed_form(state: InferredState, q_prime: float) -> float:
     """
     if not q_prime > 0.0:
         raise QOutOfDomain(f"divergence order must satisfy q' > 0, got {q_prime}")
-    lam = np.array([x for x in state.eigenvalues() if x > 0.0])
-    return _qexpm1_sum(1.0, lam, np.log(4.0 * lam), q_prime)
+    return _finite_sum((qexpm1_scaled(x, math.log(4.0 * x), q_prime - 1.0)
+                        for x in state.eigenvalues() if x > 0.0), q_prime)

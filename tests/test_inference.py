@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 
@@ -22,6 +23,7 @@ from qmaxent.inference import (
     lagrange_multipliers,
     mu_factors,
     qexpm1,
+    qexpm1_scaled,
     qlog1p,
     to_density_matrix,
     validate_constraints,
@@ -71,6 +73,31 @@ class TestQDeformedPair:
     def test_exact_zero_keeps_its_sign(self):
         for t in (0.5, -1.0, 0.0):
             assert math.copysign(1.0, qexpm1(0.0, t)) == 1.0
+
+    def test_scaled_term_is_the_plain_product_where_a_t_is_not_positive(self):
+        for w, a, t in ((0.3, -1.2, 0.5), (0.7, 2.0, -0.3), (1e-300, -5.0, 3.0),
+                        (5e-324, -700.0, 1.0), (0.25, 0.0, 2.0), (0.6, -0.4, 1e-12)):
+            assert qexpm1_scaled(w, a, t) == w * qexpm1(a, t)
+
+    def test_scaled_term_matches_decimal_where_a_t_is_positive(self):
+        # at w = 5e-324 and a*t = 700 with t = 1e-5, qexpm1(a, t) alone is past the float range;
+        # exp(ln w + a*t) has condition number |ln w + a*t|, so the rounding of ln w and a*t
+        # allows a relative error of eps*(|ln w| + |a*t|): 1.6e-13 at w = 5e-324, a*t = 700
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for w, a, t in ((0.3, 1.2, 0.5), (0.3, -2.0, -0.7), (1e-300, 3.0, 200.0),
+                            (5e-324, 70.0, 10.0), (5e-324, -700.0, -1.0), (5e-324, 7e7, 1e-5),
+                            (5e-324, 7.09e7, 1e-5), (0.9, 1e-9, 1e-9)):
+                dw, da, dt = decimal.Decimal(w), decimal.Decimal(a), decimal.Decimal(t)
+                want = float(dw * ((da * dt).exp() - 1) / dt)
+                got = qexpm1_scaled(w, a, t)
+                tol = 2.0 * sys.float_info.epsilon * (1.0 + abs(math.log(w)) + abs(a * t))
+                assert math.isfinite(got) and abs(got - want) <= tol * abs(want), (w, a, t, got)
+        assert math.isinf(5e-324 * (math.exp(700.0) / 1e-5))
+
+    def test_scaled_term_at_t_zero(self):
+        for w, a in ((0.3, -1.7), (5e-324, 2.5), (1.0, 0.0)):
+            assert qexpm1_scaled(w, a, 0.0) == w * a
 
 
 class TestValidation:
@@ -235,6 +262,16 @@ class TestPartitionIdentities:
         mu, e1 = mu_factors(s), 1.0 / (1.0 - s.q)
         z1 = 2 * mu.mu_zero ** e1 + mu.mu_minus ** e1 + mu.mu_plus ** e1
         assert abs(z1 - s.Z_q) <= 1e-10 * s.Z_q
+
+    def test_mu_past_the_float_range_raises_typed_error(self):
+        # subnormal weights at large q: e*ln(w*Z_q) ~ 714 and 738, past exp's range
+        for q in (30.0, 1e3):
+            with pytest.raises(FloatRangeExceeded):
+                mu_factors(infer_state(validate_constraints(q, 0.0, 1e-320)))
+
+    def test_mu_at_a_zero_weight(self):
+        assert mu_factors(point(2.0, 0.0, 8.0)).mu_zero == math.inf
+        assert mu_factors(point(0.5, 0.0, 8.0)).mu_zero == 0.0
 
 
 class TestLagrangeMultipliers:
