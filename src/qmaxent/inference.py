@@ -269,7 +269,7 @@ def _mu_exponents(s: InferredState):
 
 
 def mu_factors(s: InferredState) -> MuFactors:
-    """(w*Z_q)**((1-q)/q), at w = 0 zero for q < 1, else inf; FloatRangeExceeded past the floats."""
+    """(w*Z_q)**((1-q)/q): 0 (q < 1) or inf at w = 0; FloatRangeExceeded past the float range."""
     e = (1.0 - s.q) / s.q
 
     def mu(a):
