@@ -1,4 +1,9 @@
-"""Maximum-Tsallis-entropy inference of two-qubit states from Bell-CHSH data."""
+"""Maximum-Tsallis-entropy inference of two-qubit states from Bell-CHSH data.
+
+numpy is imported inside the functions that build arrays, and scipy only inside
+the general oracle's solver call, so the scalar closed form and the CLI commands
+built on it (``infer``, ``thermo``) load neither; ``tests/test_imports.py`` checks this.
+"""
 
 from .errors import (
     BOutOfRange,

@@ -11,29 +11,37 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .smallmat import kron
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: upper end of the admissible range of the correlation datum
 B_MAX = 2.0 * math.sqrt(2.0)
 
-_SIGMA = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-for _m in _SIGMA.values():
-    _m.setflags(write=False)
-
 _BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
+
+
+@lru_cache(maxsize=1)
+def _pauli_table() -> dict:
+    """The three read-only Pauli matrices, built on first use."""
+    import numpy as np
+    table = {
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+    for m in table.values():
+        m.setflags(write=False)
+    return table
 
 
 def pauli(axis: str) -> np.ndarray:
     """Standard Pauli matrix in the up/down basis (up = index 0)."""
     try:
-        return _SIGMA[axis]
+        return _pauli_table()[axis]
     except KeyError:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
 
@@ -45,6 +53,7 @@ def bell_state(label: str) -> np.ndarray:
     phi_pm = (|00> pm |11>)/sqrt(2), psi_pm = (|01> pm |10>)/sqrt(2).
     Global phases are fixed exactly as written; no rephasing is applied.
     """
+    import numpy as np
     s = 1.0 / np.sqrt(2.0)
     table = {
         "phi_plus": [s, 0, 0, s],
@@ -61,6 +70,7 @@ def bell_state(label: str) -> np.ndarray:
 
 
 def projector(v) -> np.ndarray:
+    import numpy as np
     vec = np.asarray(v, dtype=complex)
     return np.outer(vec, vec.conj())
 
@@ -84,6 +94,7 @@ class ChshOperators:
 
 @lru_cache(maxsize=1)
 def chsh_operator() -> ChshOperators:
+    import numpy as np
     sx, sz = pauli("x"), pauli("z")
     b_op = np.sqrt(2.0) * (kron(sx, sx) + kron(sz, sz))
     b_squared = b_op @ b_op

@@ -9,13 +9,16 @@ independent cross-check for arbitrary two-qubit states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
 
 from .errors import EmptyGrid
 from .bell import B_MAX
 from .inference import InferredState, infer_spectra
 from .smallmat import as_matrix, hermitian_eigen, partial_transpose
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: verdict margins smaller than this count as a boundary tie
 MARGIN_TOL = 1e-12
@@ -68,6 +71,7 @@ def scan_region(q: float, n: int) -> RegionGrid:
     The scan is one vectorised pass of infer_spectra, so repeated scans are
     byte-identical.
     """
+    import numpy as np
     if n < 2:
         raise ValueError(f"grid resolution must be at least 2, got {n}")
     s2_grid, b_grid = np.meshgrid(np.linspace(0.0, 8.0, n), np.linspace(0.0, B_MAX, n),

@@ -31,8 +31,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
 
 from .bell import B_MAX, bell_projectors
 from .errors import (
@@ -44,6 +44,9 @@ from .errors import (
     SigmaOutOfRange,
     UncertaintyViolated,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: closed inequalities in the data domain are enforced with this slack
 VALIDATION_TOL = 1e-12
@@ -57,7 +60,10 @@ def qexpm1(a, t):
     if t == 0.0:
         return a
     x = a * t
-    return (math.expm1(x) if isinstance(x, float) else np.expm1(x)) / t
+    if isinstance(x, float):
+        return math.expm1(x) / t
+    import numpy as np
+    return np.expm1(x) / t
 
 
 def qexpm1_scaled(w: float, a: float, t: float) -> float:
@@ -229,6 +235,7 @@ def infer_spectra(q: float, b_q, sigma2_q) -> SpectrumBatch:
     clamps and the max-shifted roots are escort_map's, which alone evaluates ln Z_q; the
     largest root is exactly 1, so lambda_max is the reciprocal of the root sum.
     """
+    import numpy as np
     _check_q(q)
     b, s2 = np.asarray(b_q, dtype=float), np.asarray(sigma2_q, dtype=float)
     t = B_MAX * b
@@ -370,6 +377,7 @@ def fixed_point_residual(s: InferredState, m: Multipliers) -> float:
 
 def to_density_matrix(s: InferredState) -> np.ndarray:
     """Materialize the 4x4 density matrix in the computational basis."""
+    import numpy as np
     projs = bell_projectors()
     return (s.eig_phi_plus * projs["phi_plus"]
             + s.eig_psi_minus * projs["psi_minus"]

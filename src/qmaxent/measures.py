@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     FloatRangeExceeded,
     NotHermitian,
@@ -55,6 +53,7 @@ def tsallis_entropy(rho, q: float) -> float:
 
 def q_expectation(rho, obs, q: float) -> float:
     """Escort expectation Tr(rho**q obs) / Tr(rho**q) of a Hermitian observable."""
+    import numpy as np
     if not q > 0.0:
         raise QOutOfDomain(f"entropic index must satisfy q > 0, got q={q}")
     o = as_matrix(obs)
@@ -84,6 +83,7 @@ def generalized_kl(rho, ref, q_prime: float) -> float:
     (:class:`SingularReference` otherwise); for q' <= 1 the support of rho
     must lie inside the support of ref (:class:`SupportMismatch`).
     """
+    import numpy as np
     if not q_prime > 0.0:
         raise QOutOfDomain(f"divergence order must satisfy q' > 0, got {q_prime}")
     spec, ref_spec = validate_density_matrix(rho), validate_density_matrix(ref)
@@ -123,6 +123,7 @@ class MutualEntropyResult:
 
 def mutual_entropy(rho_ab, q_prime: float) -> MutualEntropyResult:
     """Generalized mutual entropy: divergence from the product of marginals."""
+    import numpy as np
     ref = np.kron(partial_trace(rho_ab, "B"), partial_trace(rho_ab, "A"))
     return MutualEntropyResult(value=generalized_kl(rho_ab, ref, q_prime), q_prime=q_prime)
 

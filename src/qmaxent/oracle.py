@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import minimize
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExhausted
 from .bell import B_MAX, chsh_operator
 from .inference import ConstraintSet, InferredState, escort_map, escort_weights, qexpm1
 from .measures import spectrum_entropy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: golden ratio section for the 1-D search
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -44,6 +45,12 @@ _SLSQP_ITERATION_LIMIT = 9
 _RESIDUAL_TARGET = 1e-6
 #: escort-weight floor used only inside the entropy gradient, where ln lambda and lambda/p diverge
 _GRAD_FLOOR = 1e-14
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported at call time: only the general oracle needs scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,7 @@ def escort_residual(eigenvalues, c: ConstraintSet):
 
     The spectrum is taken in slot order (phi_plus, psi_minus, deg, deg).
     """
+    import numpy as np
     lam = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, None)
     # escort weights are scale-free; over lam.max(), lam**q cannot all underflow at large q
     lam_q = (lam / lam.max()) ** c.q
@@ -77,6 +85,7 @@ def maxent_split_oracle(c: ConstraintSet) -> OracleResult:
     mass (8 - sigma2_q)/8 as (t, rest - t).  Golden-section search on t
     locates the optimum, which lands on the equal split.
     """
+    import numpy as np
     w = escort_weights(c)
     q = c.q
     free = 2.0 * w.w_zero
@@ -123,6 +132,7 @@ def _entropy_and_escorts(x, q, b_op, b2_op):
     clipped spectrum, S_q, the gradient of S_q and the (2,) escort values
     (Tr P B, Tr P B^2) with their (2, 32) Jacobian.
     """
+    import numpy as np
     xm = (x[:16] + 1j * x[16:]).reshape(4, 4)
     raw = xm @ xm.conj().T
     trace = float(np.real(np.trace(raw)))
@@ -165,6 +175,7 @@ def maxent_general_oracle(c: ConstraintSet, seed: int, budget: int = 6000) -> Or
     (within tolerance) is evidence, not proof, that the closed form is the
     maximizer.
     """
+    import numpy as np
     if budget < 1000:
         raise ValueError(f"evaluation budget must be at least 1000, got {budget}")
     ops = chsh_operator()
@@ -212,6 +223,7 @@ def maxent_general_oracle(c: ConstraintSet, seed: int, budget: int = 6000) -> Or
 
 
 def _spectrum_of(x):
+    import numpy as np
     if isinstance(x, InferredState):
         return np.sort(np.asarray(x.eigenvalues(), dtype=float))
     if isinstance(x, OracleResult):
@@ -221,4 +233,5 @@ def _spectrum_of(x):
 
 def compare_states(a, b) -> float:
     """Largest absolute difference between two sorted eigenvalue 4-vectors."""
+    import numpy as np
     return float(np.max(np.abs(_spectrum_of(a) - _spectrum_of(b))))

@@ -8,10 +8,12 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionError, NotHermitian
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HERMITIAN_TOL = 1e-10
 DM_TOL = 1e-12
@@ -21,6 +23,7 @@ SUPPORT_TOL = 1e-12
 
 def as_matrix(m, dim=None) -> np.ndarray:
     """Coerce to a square complex array of dimension 2 or 4."""
+    import numpy as np
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
         raise DimensionError(f"expected a 2x2 or 4x4 matrix, got shape {a.shape}")
@@ -30,6 +33,7 @@ def as_matrix(m, dim=None) -> np.ndarray:
 
 
 def is_hermitian(m) -> bool:
+    import numpy as np
     a = np.asarray(m, dtype=complex)
     return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL)
 
@@ -41,6 +45,7 @@ def validate_density_matrix(rho) -> Spectrum:
     smallest eigenvalue.  Returns the spectrum of the coerced array, taken
     as ``hermitian_eigen`` takes it, with its eigenvalues clipped at 0.
     """
+    import numpy as np
     a = as_matrix(rho)
     if np.max(np.abs(a - a.conj().T)) > DM_TOL:
         raise NotHermitian("density matrix is not Hermitian to 1e-12")
@@ -61,6 +66,7 @@ class Spectrum:
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
+        import numpy as np
         v = self.eigenvectors
         return v @ np.diag(self.eigenvalues) @ v.conj().T
 
@@ -71,6 +77,7 @@ def kron(a, b) -> np.ndarray:
     Basis order of the product space is |00>, |01>, |10>, |11> with the
     first index belonging to A.
     """
+    import numpy as np
     return np.kron(as_matrix(a, dim=2), as_matrix(b, dim=2))
 
 
@@ -80,6 +87,7 @@ def partial_trace(m, subsystem: str) -> np.ndarray:
     ``subsystem`` names the qubit that is removed: ``"B"`` returns the
     reduced operator of A and vice versa.  The trace is preserved.
     """
+    import numpy as np
     a = as_matrix(m, dim=4).reshape(2, 2, 2, 2)
     if subsystem == "B":
         return np.einsum("ibjb->ij", a)
@@ -106,6 +114,7 @@ def hermitian_eigen(m) -> Spectrum:
     Raises :class:`NotHermitian` when the input deviates from Hermiticity
     by more than 1e-10; smaller deviations are symmetrized away.
     """
+    import numpy as np
     a = as_matrix(m)
     if not is_hermitian(a):
         raise NotHermitian("matrix is not Hermitian to 1e-10")

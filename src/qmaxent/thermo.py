@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
 
 from .errors import ConstraintError, StencilOutOfDomain
 from .bell import B_MAX
@@ -26,6 +26,9 @@ from .inference import (
     qexpm1,
     validate_constraints,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def entropy_of_state(s: InferredState) -> float:
@@ -132,6 +135,7 @@ def purification_path_check(q: float, steps: int) -> PurificationPath:
     recorded is the overlap with that target state, which is simply the
     phi_plus eigenvalue.
     """
+    import numpy as np
     if steps < 2:
         raise ValueError(f"need at least 2 path steps, got {steps}")
     ts = np.linspace(1.0 / steps, 1.0, steps)

@@ -288,6 +288,18 @@ class TestVerify:
                         "--sigma2", "5"]) == 0
         assert "passed = true\n" in capsys.readouterr().out
 
+    @pytest.mark.xfail(strict=True, reason="golden-section noise in the flat optimum grows as "
+                       "t**(1/q) at tiny q: spectrum mismatch 1.12e-7 against the 1e-7 bound")
+    def test_split_oracle_passes_at_tiny_q_on_the_edge(self):
+        assert cli.run(["verify", "--q", "0.0040251185622748546", "--b", "0.547378247400302",
+                        "--sigma2", "1.548219482443045"]) == 0
+
+    @pytest.mark.xfail(strict=True, reason="a constraint residual r becomes an eigenvalue of "
+                       "order r**(1/q) at the pure corner: entropy excess 1.39e-4 at q = 3")
+    def test_general_oracle_passes_at_the_pure_corner(self):
+        assert cli.run(["verify", "--q", "3", "--b", "2.8284271247461903", "--sigma2", "8",
+                        "--oracle", "general"]) == 0
+
     def test_forced_failure_exits_4(self, capsys, monkeypatch):
         bogus = OracleResult(eigenvalues=np.array([0.7, 0.1, 0.1, 0.1]),
                              achieved_entropy=0.9, constraint_residual=0.0,
