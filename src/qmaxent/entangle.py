@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-
 from .errors import EmptyGrid
 from .bell import B_MAX
 from .inference import InferredState, infer_spectra

@@ -33,7 +33,6 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-
 from .bell import B_MAX, bell_projectors
 from .errors import (
     BOutOfRange,

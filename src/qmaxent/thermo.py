@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-
 from .errors import ConstraintError, StencilOutOfDomain
 from .bell import B_MAX
 from .inference import (
