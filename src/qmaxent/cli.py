@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -70,25 +71,107 @@ def to_plain(obj: dict) -> str:
     return "".join(f"{name} = {_scalar(value)}\n" for name, value in _flatten(obj))
 
 
-def _emit(payload: str, out_path):
+def _emit(payload: str | bytes, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    else:
+        with open(out_path, "wb") as fh:
+            fh.write(payload.encode() if isinstance(payload, str) else payload)
+    elif isinstance(payload, str):
         sys.stdout.write(payload)
+    elif (buffer := getattr(sys.stdout, "buffer", None)) is not None:
+        sys.stdout.flush()
+        buffer.write(payload)
+    else:  # a text stream with no binary layer under it, such as io.StringIO
+        sys.stdout.write(payload.decode("ascii"))
 
 
-def region_to_csv(grid: RegionGrid) -> str:
-    """Serialize a scan: header plus n*n rows, b varying fastest, LF endings."""
+#: grid cells formatted per block in region_to_csv; bounds its scratch matrices
+_BLOCK_CELLS = 1 << 15
+#: a lambda_max whose x*1e9 lies this close to a half-integer is left to _fmt:
+#: the product carries at most 6e-8 of rounding error there, so rint is exact further out
+_TIE_TOL = 1e-6
+
+
+def _words(texts):
+    """ASCII texts as rows of 4-byte words, each text zero-padded to the longest one."""
+    import numpy as np
+    words = -(-max([1, *map(len, texts)]) // 4)
+    text = np.array([t.encode() for t in texts], dtype=f"S{4 * words}")
+    return text.view(np.uint32).reshape(len(texts), words)
+
+
+@functools.cache
+def _word_tables():
+    """The word tables of _csv_block.
+
+    group: "000" to "999", then the same with trailing zeros dropped, then "nan";
+    head: "{feasible}," and then "", "0." or "1" (other cells, fast cells, cells
+    that round to 1), indexed 3*feasible + kind; tail: ",{entangled}\n".
+    """
+    digits = [f"{g:03d}" for g in range(1000)]
+    group = _words(digits + [d.rstrip("0") for d in digits] + ["nan"]).ravel()
+    head = _words([f"{f},{x}" for f in "01" for x in ("", "0.", "1")]).ravel()
+    tail = _words([f",{e}\n" for e in "01"]).ravel()
+    return group, head, tail
+
+
+def _csv_block(b_words, s2_words, feasible, lam, entangled):
+    """CSV lines of whole grid rows: a row of zero-padded words per cell, then every zero dropped.
+
+    %.9g of x in [0.1, 1] is "1" when x rounds to 1e9 units of the ninth
+    digit, and otherwise "0." and those nine digits without trailing zeros,
+    written as three groups of three.  NaN prints "nan"; any other value,
+    and a near tie, goes through _fmt.
+    """
+    import numpy as np
+    group, head, tail = _word_tables()
+    inside = (lam >= 0.1) & (lam <= 1.0)
+    y = np.where(inside, lam, 0.0) * 1e9
+    fast = inside & (np.abs(y - np.floor(y) - 0.5) > _TIE_TOL)
+    nan = np.isnan(lam)
+    slow = np.flatnonzero(~fast & ~nan)
+    slow_words = _words([_fmt(x) for x in lam[slow].tolist()])
+    k = np.rint(np.where(fast, y, 0.0)).astype(np.int64)
+    one = k == 10**9
+    k[one] = 0
+    hi, rest = np.divmod(k, 10**6)
+    mid, lo = np.divmod(rest, 1000)
+
+    # b_q, | sigma2_q, | feasible,head | three digit groups | ,entangled\n
+    rows, n, nb, ns = len(s2_words), len(b_words), b_words.shape[1], s2_words.shape[1]
+    at = nb + ns + 1
+    line = np.zeros((rows, n, at + max(3, slow_words.shape[1]) + 1), dtype=np.uint32)
+    line[:, :, :nb] = b_words
+    line[:, :, nb:nb + ns] = s2_words[:, None, :]
+    line = line.reshape(rows * n, -1)
+    line[:, at - 1] = head[3 * feasible + fast + one]
+    line[:, at] = group[np.where(nan, 2000, hi + 1000 * ((mid == 0) & (lo == 0)))]
+    line[:, at + 1] = group[mid + 1000 * (lo == 0)]
+    line[:, at + 2] = group[lo + 1000]
+    line[slow, at:at + slow_words.shape[1]] = slow_words
+    line[:, -1] = tail[entangled.astype(np.intp)]
+    text = line.view(np.uint8)
+    return text[text != 0]
+
+
+def region_to_csv(grid: RegionGrid) -> bytes:
+    """Serialize a scan: header plus n*n rows, b varying fastest, LF endings, as ASCII bytes.
+
+    Byte for byte the text of formatting every cell with _fmt, built a block
+    of grid rows at a time so that the scratch memory stays bounded.
+    """
+    import io
     n = grid.n
-    b_text = [_fmt(x) for x in grid.b_q[:n].tolist()]
-    s2_text = [_fmt(x) for x in grid.sigma2_q[::n].tolist()]
-    rows = ["b_q,sigma2_q,feasible,lambda_max,entangled\n"]
-    grids = (a.reshape(n, n) for a in (grid.feasible, grid.lambda_max, grid.entangled))
-    for s2, f_row, lam_row, e_row in zip(s2_text, *grids):
-        cells = zip(b_text, f_row.tolist(), lam_row.tolist(), e_row.tolist())
-        rows.append("".join([f"{b},{s2},{int(f)},{_fmt(x)},{int(e)}\n" for b, f, x, e in cells]))
-    return "".join(rows)
+    b_words = _words([f"{_fmt(x)}," for x in grid.b_q[:n].tolist()])
+    s2_words = _words([f"{_fmt(x)}," for x in grid.sigma2_q[::n].tolist()])
+    csv = io.BytesIO()
+    csv.write(b"b_q,sigma2_q,feasible,lambda_max,entangled\n")
+    rows = max(1, _BLOCK_CELLS // n)
+    for j in range(0, n, rows):
+        cells = slice(j * n, min(j + rows, n) * n)
+        csv.write(_csv_block(b_words, s2_words[j:j + rows], grid.feasible[cells],
+                             grid.lambda_max[cells], grid.entangled[cells]))
+    # getvalue hands over the buffer itself rather than a copy
+    return csv.getvalue()
 
 
 def _infer_payload(q, b, s2):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -174,6 +176,19 @@ class TestScan:
         code = cli.run(["scan", "--q", "-1", "--grid", "8", "--out", str(target)])
         assert code == 3
         assert not target.exists()
+
+    def test_stdout_carries_the_bytes_of_the_out_file(self, tmp_path, capsysbinary):
+        target = tmp_path / "region.csv"
+        assert cli.run(["scan", "--q", "0.5", "--grid", "50", "--out", str(target)]) == 0
+        assert cli.run(["scan", "--q", "0.5", "--grid", "50"]) == 0
+        assert capsysbinary.readouterr().out == target.read_bytes()
+
+    def test_stdout_may_be_a_text_stream(self, tmp_path):
+        target = tmp_path / "region.csv"
+        assert cli.run(["scan", "--q", "0.5", "--grid", "50", "--out", str(target)]) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.run(["scan", "--q", "0.5", "--grid", "50"]) == 0
+        assert out.getvalue().encode() == target.read_bytes()
 
 
 class TestSmallQ:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from qmaxent.entangle import (
     ppt_verdict,
     scan_region,
 )
+import qmaxent.cli as cli
 from qmaxent.cli import region_to_csv
 from qmaxent.errors import (
     DimensionError,
@@ -150,7 +152,47 @@ class TestKernelAgainstScalarPath:
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_csv_matches_per_cell_formatting(self, q):
         g = scan_region(q, 40)
-        assert region_to_csv(g) == _per_cell_csv(g)
+        assert region_to_csv(g) == _per_cell_csv(g).encode()
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_csv_matches_per_cell_formatting_on_random_grids(self, q, monkeypatch):
+        rng = np.random.default_rng(KERNEL_QS.index(q))
+        # blocks hold whole grid rows: 200 rows are 163 + 37 at 32768 cells a block,
+        # and at 97 cells most sizes end on a shorter last block
+        for block_cells in (cli._BLOCK_CELLS, 97):
+            monkeypatch.setattr(cli, "_BLOCK_CELLS", block_cells)
+            for n in (2, 200, *rng.integers(3, 90, size=3).tolist()):
+                g = scan_region(q, n)
+                assert region_to_csv(g) == _per_cell_csv(g).encode(), (block_cells, n)
+
+    def test_csv_of_forced_lambda_max_matches_per_cell_formatting(self, monkeypatch):
+        half = [(k + 0.5) / 1e9 for k in (100_000_000, 249_999_999, 250_000_000, 333_333_333,
+                                          499_999_999, 500_000_000, 876_543_209, 999_999_999)]
+        near_half = [(k + 0.5 + d) / 1e9 for k in (250_000_000, 500_000_000, 999_999_999)
+                     for d in (-2e-6, -1e-7, 1e-7, 2e-6)]
+        hard = [*half, *near_half, 0.25, 1.0, 1 - 4e-10, 1 - 6e-10, 0.1, 0.5, 0.100000001]
+        neighbours = [np.nextafter(x, t) for x in hard for t in (0.0, 2.0)]
+        outside = [0.0, -0.0, 0.05, 0.0999999999, 1.5, 1 + 1e-10, -0.3, 5e-324, 1e-300,
+                   123456.789, math.inf, -math.inf]
+        rng = np.random.default_rng(7)
+        values = np.array([*hard, *neighbours, *outside, *rng.uniform(0.25, 1.0, 500)])
+
+        g = scan_region(2.0, 60)
+        cells = np.flatnonzero(g.feasible)
+        assert cells.size >= values.size
+        lam = g.lambda_max.copy()
+        lam[cells] = np.resize(values, cells.size)
+        forced = dataclasses.replace(g, lambda_max=lam)
+        assert np.isnan(forced.lambda_max[~forced.feasible]).all()
+
+        formatted = []
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda x: formatted.append(x) or fmt(x))
+        assert region_to_csv(forced) == _per_cell_csv(forced).encode()
+        # ties and everything outside [0.1, 1] went through format(), the rest did not
+        fallback = set(formatted)
+        assert set(half) <= fallback and set(outside) <= fallback
+        assert not {0.25, 1.0, 1 - 4e-10, 1 - 6e-10} & fallback
 
     def test_mask_follows_every_domain_inequality(self):
         tol = 1e-12
