@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
@@ -75,13 +76,8 @@ def _emit(payload: str | bytes, out_path):
     if out_path:
         with open(out_path, "wb") as fh:
             fh.write(payload.encode() if isinstance(payload, str) else payload)
-    elif isinstance(payload, str):
-        sys.stdout.write(payload)
-    elif (buffer := getattr(sys.stdout, "buffer", None)) is not None:
-        sys.stdout.flush()
-        buffer.write(payload)
-    else:  # a text stream with no binary layer under it, such as io.StringIO
-        sys.stdout.write(payload.decode("ascii"))
+    else:
+        sys.stdout.write(payload if isinstance(payload, str) else payload.decode("ascii"))
 
 
 #: grid cells formatted per block in region_to_csv; bounds its scratch matrices
@@ -159,7 +155,6 @@ def region_to_csv(grid: RegionGrid) -> bytes:
     Byte for byte the text of formatting every cell with _fmt, built a block
     of grid rows at a time so that the scratch memory stays bounded.
     """
-    import io
     n = grid.n
     b_words = _words([f"{_fmt(x)}," for x in grid.b_q[:n].tolist()])
     s2_words = _words([f"{_fmt(x)}," for x in grid.sigma2_q[::n].tolist()])

@@ -157,11 +157,12 @@ class TestKernelAgainstScalarPath:
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_csv_matches_per_cell_formatting_on_random_grids(self, q, monkeypatch):
         rng = np.random.default_rng(KERNEL_QS.index(q))
-        # blocks hold whole grid rows: 200 rows are 163 + 37 at 32768 cells a block,
-        # and at 97 cells most sizes end on a shorter last block
+        # blocks hold whole grid rows: 200 rows are 163 + 37 at 32768 cells a block;
+        # at 97 cells, sizes below 49 hold several rows a block, and those that
+        # 97 // n does not divide end on a shorter one, as 25 rows do (3 a block, 1 last)
         for block_cells in (cli._BLOCK_CELLS, 97):
             monkeypatch.setattr(cli, "_BLOCK_CELLS", block_cells)
-            for n in (2, 200, *rng.integers(3, 90, size=3).tolist()):
+            for n in (2, 25, 200, *rng.integers(3, 90, size=3).tolist()):
                 g = scan_region(q, n)
                 assert region_to_csv(g) == _per_cell_csv(g).encode(), (block_cells, n)
 
