@@ -69,18 +69,15 @@ def bell_state(label: str) -> np.ndarray:
     return v
 
 
-def projector(v) -> np.ndarray:
-    import numpy as np
-    vec = np.asarray(v, dtype=complex)
-    return np.outer(vec, vec.conj())
-
-
 @lru_cache(maxsize=1)
 def bell_projectors() -> dict:
     """Rank-one projectors onto the four Bell states, keyed by label."""
-    projs = {lab: projector(bell_state(lab)) for lab in _BELL_LABELS}
-    for p in projs.values():
-        p.setflags(write=False)
+    import numpy as np
+    projs = {}
+    for lab in _BELL_LABELS:
+        v = bell_state(lab)
+        projs[lab] = np.outer(v, v.conj())
+        projs[lab].setflags(write=False)
     return projs
 
 

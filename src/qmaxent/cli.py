@@ -169,8 +169,8 @@ def region_to_csv(grid: RegionGrid) -> bytes:
     return csv.getvalue()
 
 
-def _infer_payload(q, b, s2):
-    state = infer_state(validate_constraints(q, b, s2))
+def _cmd_infer(args) -> int:
+    state = infer_state(validate_constraints(args.q, args.b, args.sigma2))
     verdict = criterion_verdict(state)
     entropy = entropy_of_state(state)
     try:
@@ -199,11 +199,6 @@ def _infer_payload(q, b, s2):
         "sigma2_q": state.constraints.sigma2_q,
         "weights": asdict(state.weights),
     }
-    return payload
-
-
-def _cmd_infer(args) -> int:
-    payload = _infer_payload(args.q, args.b, args.sigma2)
     _emit(to_json(payload) if args.json else to_plain(payload), args.out)
     return 0
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 from .errors import EmptyGrid
 from .bell import B_MAX
 from .inference import InferredState, infer_spectra
-from .smallmat import as_matrix, hermitian_eigen, partial_transpose
+from .smallmat import hermitian_eigen, partial_transpose
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,7 +42,7 @@ def ppt_verdict(rho) -> Verdict:
     negative margin signals entanglement here (opposite sign convention
     from the eigenvalue criterion).
     """
-    pt = partial_transpose(as_matrix(rho, dim=4), "B")
+    pt = partial_transpose(rho, "B")
     margin = float(hermitian_eigen(pt).eigenvalues[0])
     return Verdict(entangled=margin < -MARGIN_TOL, margin=margin)
 

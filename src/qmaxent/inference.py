@@ -245,10 +245,13 @@ def infer_spectra(q: float, b_q, sigma2_q) -> SpectrumBatch:
     w = np.stack([(s2 + t) / 16.0, (s2 - t) / 16.0, (8.0 - s2) / 16.0])
     w[(w > -CLAMP_TOL) & (w < 0.0)] = 0.0
     w[(w > 1.0) & (w < 1.0 + CLAMP_TOL)] = 1.0
-    # log_w / q overflows at tiny q
-    with np.errstate(over="ignore"):
-        log_w = np.log(w, out=np.full_like(w, -np.inf), where=w > 0.0)  # -inf off the support
-        roots = np.exp(log_w / q - log_w.max(axis=0) / q)
+    # the roots, formed in w's buffer: ln 0 = -inf off the support, and ln w / q overflows
+    # at tiny q; max(x / q) = max(x) / q, as division by q > 0 keeps the order
+    with np.errstate(divide="ignore", over="ignore"):
+        roots = np.log(w, out=w)
+        roots /= q
+        roots -= roots.max(axis=0)
+        np.exp(roots, out=roots)
     lambda_max = np.full(feasible.shape, np.nan)
     lambda_max[feasible] = 1.0 / (roots[0] + roots[1] + 2.0 * roots[2])
     return SpectrumBatch(feasible, lambda_max)

@@ -118,14 +118,13 @@ def marginals(rho_ab):
 @dataclass(frozen=True)
 class MutualEntropyResult:
     value: float
-    q_prime: float
 
 
 def mutual_entropy(rho_ab, q_prime: float) -> MutualEntropyResult:
     """Generalized mutual entropy: divergence from the product of marginals."""
     import numpy as np
     ref = np.kron(partial_trace(rho_ab, "B"), partial_trace(rho_ab, "A"))
-    return MutualEntropyResult(value=generalized_kl(rho_ab, ref, q_prime), q_prime=q_prime)
+    return MutualEntropyResult(value=generalized_kl(rho_ab, ref, q_prime))
 
 
 def mutual_entropy_closed_form(state: InferredState, q_prime: float) -> float:

@@ -222,16 +222,8 @@ def maxent_general_oracle(c: ConstraintSet, seed: int, budget: int = 6000) -> Or
             raise exhausted()
 
 
-def _spectrum_of(x):
-    import numpy as np
-    if isinstance(x, InferredState):
-        return np.sort(np.asarray(x.eigenvalues(), dtype=float))
-    if isinstance(x, OracleResult):
-        return np.sort(np.asarray(x.eigenvalues, dtype=float))
-    return np.sort(np.asarray(x, dtype=float))
-
-
 def compare_states(a, b) -> float:
-    """Largest absolute difference between two sorted eigenvalue 4-vectors."""
-    import numpy as np
-    return float(np.max(np.abs(_spectrum_of(a) - _spectrum_of(b))))
+    """Largest absolute difference of the sorted spectra of two InferredState or OracleResult."""
+    x, y = (sorted(s.eigenvalues() if isinstance(s, InferredState) else s.eigenvalues)
+            for s in (a, b))
+    return float(max(abs(u - v) for u, v in zip(x, y)))

@@ -65,11 +65,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        import numpy as np
-        v = self.eigenvectors
-        return v @ np.diag(self.eigenvalues) @ v.conj().T
-
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two 2x2 operators, left factor acting on qubit A.

@@ -112,6 +112,22 @@ class TestGoldenOutput:
             "K_qprime = 0.167184277\nb_q = 1.4142136\nclosed_form = 0.167184277\n"
             "q = 2\nqprime = 2\nsigma2_q = 6\n")
 
+    def test_thermo_plain(self, capsys):
+        assert cli.run(["thermo", *BASELINE]) == 0
+        assert capsys.readouterr().out == (
+            "dS_db_fd = -0.0435658845\ndS_dsigma2_fd = -0.0154028647\n"
+            "lambda_1 = -0.0435658845\nlambda_2 = -0.0154028647\n"
+            "path_residual = 1.60436108e-10\nrel_err_1 = 1.85240416e-10\n"
+            "rel_err_2 = 3.63011223e-11\n")
+
+    def test_thermo_json(self, capsys):
+        assert cli.run(["thermo", *BASELINE, "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "dS_db_fd": -0.0435658845,\n  "dS_dsigma2_fd": -0.0154028647,\n'
+            '  "lambda_1": -0.0435658845,\n  "lambda_2": -0.0154028647,\n'
+            '  "path_residual": 1.60436108e-10,\n  "rel_err_1": 1.85240416e-10,\n'
+            '  "rel_err_2": 3.63011223e-11\n}\n')
+
     def test_formatters_reject_lists(self):
         for formatter in (cli.to_json, cli.to_plain):
             with pytest.raises(TypeError):

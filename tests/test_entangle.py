@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,16 @@ class TestScanRegion:
         for g in grids[1:]:
             assert np.array_equal(g.lambda_max, grids[0].lambda_max, equal_nan=True)
             assert np.array_equal(g.entangled, grids[0].entangled)
+
+    def test_peak_memory_per_cell(self):
+        # numpy reports its buffers to tracemalloc; the returned grid alone holds 26 bytes a cell
+        tracemalloc.start()
+        try:
+            scan_region(2.0, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 400**2 < 60
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(QOutOfDomain):

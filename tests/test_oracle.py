@@ -9,6 +9,7 @@ from qmaxent.bell import chsh_operator
 from qmaxent.errors import BudgetExhausted
 from qmaxent.inference import escort_weights, infer_state, validate_constraints
 from qmaxent.oracle import (
+    OracleResult,
     _entropy_and_escorts,
     compare_states,
     escort_residual,
@@ -236,6 +237,10 @@ class TestCompareStates:
         b = infer_state(constraints(0.5))
         expected = 0.8928571428571429 - 0.4270509831248423
         assert abs(compare_states(a, b) - expected) < 1e-12
+        # sorted, the oracle's spectrum is (0.1, 0.2, 0.3, 0.4) and a's is
+        # (0.190983, 0.190983, 0.190983, 0.427051): the largest gap is 0.3 - 0.190983
+        oracle = OracleResult(np.array([0.1, 0.4, 0.2, 0.3]), 0.0, 0.0, 0)
+        assert abs(compare_states(a, oracle) - (0.3 - 0.19098300562505258)) < 1e-12
 
     def test_symmetric(self):
         a = infer_state(constraints(2.0))
