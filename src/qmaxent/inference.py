@@ -243,7 +243,9 @@ def infer_spectra(q: float, b_q, sigma2_q) -> SpectrumBatch:
                 & (s2 <= SIGMA_MAX + VALIDATION_TOL) & (s2 - t >= -VALIDATION_TOL))
     s2, t = s2[feasible], B_MAX * np.maximum(b[feasible], 0.0)
     w = np.stack([(s2 + t) / 16.0, (s2 - t) / 16.0, (8.0 - s2) / 16.0])
-    w[(w > -CLAMP_TOL) & (w < 0.0)] = 0.0
+    # every non-positive weight has root 0, as in escort_map; validation lets s2 - t reach
+    # -VALIDATION_TOL, so a feasible cell's weight can lie below -CLAMP_TOL
+    np.maximum(w, 0.0, out=w)
     w[(w > 1.0) & (w < 1.0 + CLAMP_TOL)] = 1.0
     # the roots, formed in w's buffer: ln 0 = -inf off the support, and ln w / q overflows
     # at tiny q; max(x / q) = max(x) / q, as division by q > 0 keeps the order

@@ -114,19 +114,23 @@ class TestGoldenOutput:
 
     def test_thermo_plain(self, capsys):
         assert cli.run(["thermo", *BASELINE]) == 0
-        assert capsys.readouterr().out == (
-            "dS_db_fd = -0.0435658845\ndS_dsigma2_fd = -0.0154028647\n"
-            "lambda_1 = -0.0435658845\nlambda_2 = -0.0154028647\n"
-            "path_residual = 1.60436108e-10\nrel_err_1 = 1.85240416e-10\n"
-            "rel_err_2 = 3.63011223e-11\n")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == ["dS_db_fd = -0.0435658845", "dS_dsigma2_fd = -0.0154028647",
+                             "lambda_1 = -0.0435658845", "lambda_2 = -0.0154028647"]
+        # finite-difference rounding error: bounded, not pinned
+        tail = dict(line.split(" = ") for line in lines[4:])
+        assert list(tail) == ["path_residual", "rel_err_1", "rel_err_2"]
+        assert all(0.0 <= float(v) < 1e-8 for v in tail.values())
 
     def test_thermo_json(self, capsys):
         assert cli.run(["thermo", *BASELINE, "--json"]) == 0
-        assert capsys.readouterr().out == (
+        out = capsys.readouterr().out
+        assert out.startswith(
             '{\n  "dS_db_fd": -0.0435658845,\n  "dS_dsigma2_fd": -0.0154028647,\n'
-            '  "lambda_1": -0.0435658845,\n  "lambda_2": -0.0154028647,\n'
-            '  "path_residual": 1.60436108e-10,\n  "rel_err_1": 1.85240416e-10,\n'
-            '  "rel_err_2": 3.63011223e-11\n}\n')
+            '  "lambda_1": -0.0435658845,\n  "lambda_2": -0.0154028647,\n')
+        payload = json.loads(out)
+        assert list(payload)[4:] == ["path_residual", "rel_err_1", "rel_err_2"]
+        assert all(0.0 <= payload[k] < 1e-8 for k in list(payload)[4:])
 
     def test_formatters_reject_lists(self):
         for formatter in (cli.to_json, cli.to_plain):

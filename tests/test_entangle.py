@@ -50,6 +50,15 @@ class TestCriterionVerdict:
             batch = infer_spectra(q, np.array([-5e-13]), np.array([5.0]))
             assert batch.lambda_max[0] == s.lambda_max
 
+    def test_weights_below_clamp_agree_with_infer_state(self):
+        # validation accepts s2 - 2*sqrt(2)*b down to -1e-12, so w_plus and w_minus can sit
+        # below the -1e-13 clamp on a feasible cell; both paths give them root 0
+        for q in (0.5, 1.0, 2.0):
+            s = inferred(q, -1e-12, -3.8e-12)
+            with np.errstate(all="raise"):
+                batch = infer_spectra(q, np.array([-1e-12]), np.array([-3.8e-12]))
+            assert batch.feasible[0] and batch.lambda_max[0] == s.lambda_max == 0.5
+
     def test_boundary_tie_is_separable(self):
         for q in (0.5, 1.0, 2.0):
             v = criterion_verdict(inferred(q, 0.0, 8.0))
