@@ -129,7 +129,7 @@ class EscortWeights:
 
 
 def _clamp01(w: float) -> float:
-    if -CLAMP_TOL < w < 0.0:
+    if w < 0.0:
         return 0.0
     if 1.0 < w < 1.0 + CLAMP_TOL:
         return 1.0
@@ -139,8 +139,8 @@ def _clamp01(w: float) -> float:
 def escort_weights(c: ConstraintSet) -> EscortWeights:
     """Escort weights of the optimal state, linear in the data.
 
-    Sub-1e-13 negative dust from boundary data (sigma2_q = 2*sqrt(2)*b_q
-    or sigma2_q = 8 hit in floating point) is clamped to exact zero, as is negative b_q dust.
+    Every negative weight, which boundary data (sigma2_q = 2*sqrt(2)*b_q or sigma2_q = 8)
+    reach within the 1e-12 validation slack, is clamped to exact zero, as is negative b_q dust.
     """
     t = B_MAX * max(c.b_q, 0.0)
     return EscortWeights(

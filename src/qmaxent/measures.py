@@ -22,6 +22,7 @@ from .smallmat import (
     SUPPORT_TOL,
     as_matrix,
     is_hermitian,
+    kron,
     partial_trace,
     validate_density_matrix,
 )
@@ -122,8 +123,7 @@ class MutualEntropyResult:
 
 def mutual_entropy(rho_ab, q_prime: float) -> MutualEntropyResult:
     """Generalized mutual entropy: divergence from the product of marginals."""
-    import numpy as np
-    ref = np.kron(partial_trace(rho_ab, "B"), partial_trace(rho_ab, "A"))
+    ref = kron(partial_trace(rho_ab, "B"), partial_trace(rho_ab, "A"))
     return MutualEntropyResult(value=generalized_kl(rho_ab, ref, q_prime))
 
 

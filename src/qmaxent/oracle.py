@@ -6,10 +6,10 @@ Two routes that search for the maximizer the closed form writes down:
   weights of a Bell-diagonal spectrum, so they pin the phi_plus and
   psi_minus escort weights exactly (this reduction is the lemma tested in
   the suite).  The only remaining freedom is how the leftover escort mass
-  splits between the two degenerate slots; a one-dimensional golden-section
-  search maximizes the entropy over that split.  What it shares with the
-  closed form is ``escort_map``, run at each trial split instead of at the
-  equal split the closed form assumes.
+  splits between the two degenerate slots; Brent's bounded search (golden
+  sections plus parabolic steps) maximizes the entropy over that split.
+  What it shares with the closed form is ``escort_map``, run at each trial
+  split instead of at the equal split the closed form assumes.
 
 * The general oracle.  One equality-constrained SLSQP maximization of the
   entropy over all 4x4 escort states P = X X^dagger / Tr(X X^dagger), from
@@ -35,9 +35,9 @@ from .measures import spectrum_entropy
 if TYPE_CHECKING:
     import numpy as np
 
-#: golden ratio section for the 1-D search
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_SEARCH_TOL = 1e-10
+#: Brent's golden-section fraction (3 - sqrt 5)/2 and relative tolerance sqrt(eps)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
 #: SLSQP's stop tolerance; resuming from the stopped point mends early stops
 _SLSQP_FTOL = 1e-12
 #: SLSQP's exit status after its default 100 iterations; resuming restarts its quasi-Newton model
@@ -77,13 +77,73 @@ def escort_residual(eigenvalues, c: ConstraintSet):
     return max(abs(b_rec - c.b_q), abs(s2_rec - c.sigma2_q))
 
 
+def _brent_maximize(f, hi: float):
+    """Brent's bounded maximizer of a unimodal f on [0, hi]: (x, number of f calls).
+
+    Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 5, as
+    ``scipy.optimize.fminbound`` implements it: a parabola through the three best
+    points where its vertex is acceptable, a golden section otherwise, until x lies
+    within sqrt(eps)*|x| + xatol of the bracket's midpoint, with xatol = 1e-9*hi.
+    Each step moves by at least that tolerance, far above hi's ulp, so it ends.
+
+    Unlike fminbound, a tie f(u) == f(x) keeps x and moves the bracket's end to u.
+    On the optimum's round-off plateau, moving x along it instead leaves the far end
+    to golden sections: 23 calls at (q, b, sigma2) = (2, 1.4142136, 6), against 6.
+    """
+    a, b, xatol = 0.0, hi, 1e-9 * hi
+    x = w = v = _GOLDEN * hi
+    fx = fw = fv = f(x)
+    calls, d, e = 1, 0.0, 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return x, calls
+        golden = True
+        if abs(e) > tol1:
+            # the vertex of the parabola through (x, fx), (w, fw), (v, fv) is x + p/s
+            r = (x - w) * (fx - fv)
+            s = (x - v) * (fx - fw)
+            p = (x - v) * s - (x - w) * r
+            s = 2.0 * (s - r)
+            p = -p if s > 0.0 else p
+            s = abs(s)
+            e_prev, e = e, d
+            # accept a step that is inside the bracket and under half the step before last
+            if abs(p) < abs(0.5 * s * e_prev) and s * (a - x) < p < s * (b - x):
+                golden = False
+                d = p / s
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = _GOLDEN * e
+        step = max(abs(d), tol1)
+        u = x + (step if d >= 0.0 else -step)
+        fu = f(u)
+        calls += 1
+        if fu > fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def maxent_split_oracle(c: ConstraintSet) -> OracleResult:
     """Maximize the entropy over the split of the unconstrained escort mass.
 
     The constraints fix the escort weights of the phi_plus and psi_minus
     slots at w_plus and w_minus; the degenerate pair shares the remaining
-    mass (8 - sigma2_q)/8 as (t, rest - t).  Golden-section search on t
-    locates the optimum, which lands on the equal split.
+    mass free = (8 - sigma2_q)/8 as (t, free - t).  Brent's bounded search on
+    t in [0, free], with xatol = 1e-9*free, locates the optimum, which lands
+    on the equal split.  ``iterations`` counts the ``escort_map`` calls of the
+    search: typically 6 to 40, where the golden section it replaced made 47
+    (the 45 loop iterations it reported, plus its first two points).
     """
     import numpy as np
     w = escort_weights(c)
@@ -94,25 +154,9 @@ def maxent_split_oracle(c: ConstraintSet) -> OracleResult:
     def log_partition_at(t):
         return escort_map((w.w_plus, w.w_minus, t, free - t), q)[1]
 
-    iterations = 0
-    if free <= 0.0:
-        t_best = 0.0
-    else:
-        lo, hi = 0.0, free
-        c1 = hi - _GOLDEN * (hi - lo)
-        c2 = lo + _GOLDEN * (hi - lo)
-        f1, f2 = log_partition_at(c1), log_partition_at(c2)
-        while hi - lo > _SEARCH_TOL:
-            iterations += 1
-            if f1 < f2:
-                lo, c1, f1 = c1, c2, f2
-                c2 = lo + _GOLDEN * (hi - lo)
-                f2 = log_partition_at(c2)
-            else:
-                hi, c2, f2 = c2, c1, f1
-                c1 = hi - _GOLDEN * (hi - lo)
-                f1 = log_partition_at(c1)
-        t_best = 0.5 * (lo + hi)
+    t_best, iterations = 0.0, 0
+    if free > 0.0:
+        t_best, iterations = _brent_maximize(log_partition_at, free)
     roots, ln_z, _ = escort_map((w.w_plus, w.w_minus, t_best, free - t_best), q)
     lam = np.asarray(roots) / sum(roots)
     return OracleResult(

@@ -88,8 +88,8 @@ def legendre_report(c: ConstraintSet, h: float = 1e-5) -> LegendreReport:
     if not 1e-8 <= h <= 1e-3:
         raise ValueError(f"finite-difference step must lie in [1e-8, 1e-3], got {h}")
     q, b, s2 = c.q, c.b_q, c.sigma2_q
-    centre = _point(q, b, s2)
-    m = lagrange_multipliers(centre)
+    centre = free_energy(_point(q, b, s2))
+    m = centre.multipliers
     s_bp, s_bm, s_sp, s_sm = [entropy_of_state(_point(q, b + db, s2 + ds))
                               for db, ds in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))]
     d_s_db, d_s_ds2 = (s_bp - s_bm) / (2.0 * h), (s_sp - s_sm) / (2.0 * h)
@@ -98,7 +98,7 @@ def legendre_report(c: ConstraintSet, h: float = 1e-5) -> LegendreReport:
 
     steps = 10
     # path point k = 0 is the centre itself, since b + 0*h == b
-    points = [(free_energy(_point(q, b + k * h, s2 + k * h) if k else centre),
+    points = [(free_energy(_point(q, b + k * h, s2 + k * h)) if k else centre,
                b + k * h, s2 + k * h) for k in range(steps + 1)]
     residual = 0.0
     for k in range(steps):

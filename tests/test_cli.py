@@ -59,6 +59,12 @@ class TestInfer:
             assert cli.run(["infer", *flags]) == 0
             assert "nan" not in capsys.readouterr().out
 
+    def test_negative_weights_print_as_zero(self, capsys):
+        # validation lets sigma2 - 2*sqrt(2)*b reach -1e-12, so both weights were -2.375e-13
+        assert cli.run(["infer", "--q", "2", "--b=-1e-12", "--sigma2=-3.8e-12"]) == 0
+        out = capsys.readouterr().out
+        assert "weights.w_minus = 0\n" in out and "weights.w_plus = 0\n" in out
+
     def test_subnormal_q_is_domain_error(self, capsys):
         assert cli.run(["infer", "--q", "1e-310", "--b", "1", "--sigma2", "5"]) == 3
         assert "not a normal float" in capsys.readouterr().err
@@ -323,8 +329,6 @@ class TestVerify:
                         "--sigma2", "5"]) == 0
         assert "passed = true\n" in capsys.readouterr().out
 
-    @pytest.mark.xfail(strict=True, reason="golden-section noise in the flat optimum grows as "
-                       "t**(1/q) at tiny q: spectrum mismatch 1.12e-7 against the 1e-7 bound")
     def test_split_oracle_passes_at_tiny_q_on_the_edge(self):
         assert cli.run(["verify", "--q", "0.0040251185622748546", "--b", "0.547378247400302",
                         "--sigma2", "1.548219482443045"]) == 0

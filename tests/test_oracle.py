@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -63,6 +64,22 @@ class TestSplitOracle:
             result = maxent_split_oracle(c)
             assert compare_states(infer_state(c), result) < 1e-8
             assert abs(result.achieved_entropy - entropy_of_state(infer_state(c))) < 1e-14
+
+    def test_sweep_agrees_within_half_the_golden_section_calls(self):
+        # q log-uniform in [1e-3, 1e3], every fifth point within 5% of q = 1; the golden
+        # section made 47 escort_map calls a point and missed 1e-7 at 10 points, all at q < 0.006
+        rng = random.Random(7)
+        iterations = []
+        for i in range(2000):
+            q = (rng.uniform(0.95, 1.05) if i % 5 == 0
+                 else math.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
+            b = B_MAX * rng.uniform(0.0, 1.0)
+            c = validate_constraints(q, b, B_MAX * b + rng.uniform(0.0, 1.0) * (8.0 - B_MAX * b))
+            result = maxent_split_oracle(c)
+            assert compare_states(infer_state(c), result) < 1e-7, c
+            iterations.append(result.iterations)
+        assert statistics.median(iterations) <= 24
+        assert max(iterations) <= 40
 
     def test_degenerate_interval(self):
         # sigma2 = 8 leaves no split freedom: two-level state comes back directly

@@ -39,6 +39,12 @@ class TestKron:
             assert np.max(np.abs(kron(a + c, b) - kron(a, b) - kron(c, b))) < 1e-12
             assert np.max(np.abs(kron(a, b) @ kron(c, d) - kron(a @ c, b @ d))) < 1e-12
 
+    def test_equals_numpy_kron_bitwise(self, rng):
+        for _ in range(50):
+            a, b = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                    for _ in range(2))
+            assert np.array_equal(kron(a, b), np.kron(a, b))
+
 
 class TestPartialTrace:
     def test_bell_projector_reduces_to_maximally_mixed(self):
