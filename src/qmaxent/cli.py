@@ -9,8 +9,8 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import io
 import json
 import math
 import sys
@@ -19,6 +19,7 @@ from dataclasses import asdict
 from .errors import BoundaryDivergence, BudgetExhausted, QmaxentError
 from .entangle import RegionGrid, criterion_verdict, scan_region
 from .inference import (
+    _check_q,
     infer_state,
     lagrange_multipliers,
     to_density_matrix,
@@ -72,15 +73,22 @@ def to_plain(obj: dict) -> str:
     return "".join(f"{name} = {_scalar(value)}\n" for name, value in _flatten(obj))
 
 
-def _emit(payload: str | bytes, out_path):
-    if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(payload.encode() if isinstance(payload, str) else payload)
-    else:
-        sys.stdout.write(payload if isinstance(payload, str) else payload.decode("ascii"))
+class _StdoutText:
+    """A binary file object that hands sys.stdout text, so that any text stream works."""
+    def write(self, data: bytes) -> None:
+        sys.stdout.write(data.decode())
 
 
-#: grid cells formatted per block in region_to_csv; bounds its scratch matrices
+def _output(out_path):
+    return open(out_path, "wb") if out_path else contextlib.nullcontext(_StdoutText())
+
+
+def _emit(payload: str, out_path):
+    with _output(out_path) as out:
+        out.write(payload.encode())
+
+
+#: grid cells in a block of whole grid rows (at least one); bounds the scan's scratch arrays
 _BLOCK_CELLS = 1 << 15
 #: a lambda_max whose x*1e9 lies this close to a half-integer is left to _fmt:
 #: the product carries at most 6e-8 of rounding error there, so rint is exact further out
@@ -97,11 +105,9 @@ def _words(texts):
 
 @functools.cache
 def _word_tables():
-    """The word tables of _csv_block.
-
-    group: "000" to "999", then the same with trailing zeros dropped, then "nan";
-    head: "{feasible}," and then "", "0." or "1" (other cells, fast cells, cells
-    that round to 1), indexed 3*feasible + kind; tail: ",{entangled}\n".
+    """The word tables of region_to_csv: group, "000" to "999", then the same with trailing
+    zeros dropped, then "nan"; head, "{feasible}," and then "", "0." or "1" (other cells,
+    fast cells, cells that round to 1), indexed 3*feasible + kind; tail, ",{entangled}\n".
     """
     digits = [f"{g:03d}" for g in range(1000)]
     group = _words(digits + [d.rstrip("0") for d in digits] + ["nan"]).ravel()
@@ -110,16 +116,24 @@ def _word_tables():
     return group, head, tail
 
 
-def _csv_block(b_words, s2_words, feasible, lam, entangled):
-    """CSV lines of whole grid rows: a row of zero-padded words per cell, then every zero dropped.
+@functools.lru_cache(maxsize=1)
+def _axis_words(values: tuple):
+    """The words of "{x}," for each x of a grid axis; every block of a scan has the same b axis."""
+    return _words([f"{_fmt(x)}," for x in values])
 
-    %.9g of x in [0.1, 1] is "1" when x rounds to 1e9 units of the ninth
-    digit, and otherwise "0." and those nine digits without trailing zeros,
-    written as three groups of three.  NaN prints "nan"; any other value,
-    and a near tie, goes through _fmt.
+
+def region_to_csv(grid: RegionGrid, out) -> None:
+    """Write a scan's CSV lines after the header to the binary file out, b varying fastest.
+
+    Byte for byte the text of formatting every cell with _fmt, in one block; the scan
+    command bounds memory by passing blocks of grid rows.  A cell is a row of zero-padded
+    words, zeros then dropped: %.9g of x in [0.1, 1] is "1" when x rounds to 1e9 units of
+    the ninth digit, else "0." and those nine digits without trailing zeros, in three
+    groups of three.  NaN prints "nan"; other values and near ties go through _fmt.
     """
     import numpy as np
     group, head, tail = _word_tables()
+    n, lam = grid.n, grid.lambda_max
     inside = (lam >= 0.1) & (lam <= 1.0)
     y = np.where(inside, lam, 0.0) * 1e9
     fast = inside & (np.abs(y - np.floor(y) - 0.5) > _TIE_TOL)
@@ -132,41 +146,22 @@ def _csv_block(b_words, s2_words, feasible, lam, entangled):
     hi, rest = np.divmod(k, 10**6)
     mid, lo = np.divmod(rest, 1000)
 
+    b_words = _axis_words(tuple(grid.b_q[:n].tolist()))
+    s2_words = _words([f"{_fmt(x)}," for x in grid.sigma2_q[::n].tolist()])
     # b_q, | sigma2_q, | feasible,head | three digit groups | ,entangled\n
-    rows, n, nb, ns = len(s2_words), len(b_words), b_words.shape[1], s2_words.shape[1]
+    rows, nb, ns = len(s2_words), b_words.shape[1], s2_words.shape[1]
     at = nb + ns + 1
     line = np.zeros((rows, n, at + max(3, slow_words.shape[1]) + 1), dtype=np.uint32)
     line[:, :, :nb] = b_words
     line[:, :, nb:nb + ns] = s2_words[:, None, :]
     line = line.reshape(rows * n, -1)
-    line[:, at - 1] = head[3 * feasible + fast + one]
+    line[:, at - 1] = head[3 * grid.feasible + fast + one]
     line[:, at] = group[np.where(nan, 2000, hi + 1000 * ((mid == 0) & (lo == 0)))]
     line[:, at + 1] = group[mid + 1000 * (lo == 0)]
     line[:, at + 2] = group[lo + 1000]
     line[slow, at:at + slow_words.shape[1]] = slow_words
-    line[:, -1] = tail[entangled.astype(np.intp)]
-    text = line.view(np.uint8)
-    return text[text != 0]
-
-
-def region_to_csv(grid: RegionGrid) -> bytes:
-    """Serialize a scan: header plus n*n rows, b varying fastest, LF endings, as ASCII bytes.
-
-    Byte for byte the text of formatting every cell with _fmt, built a block
-    of grid rows at a time so that the scratch memory stays bounded.
-    """
-    n = grid.n
-    b_words = _words([f"{_fmt(x)}," for x in grid.b_q[:n].tolist()])
-    s2_words = _words([f"{_fmt(x)}," for x in grid.sigma2_q[::n].tolist()])
-    csv = io.BytesIO()
-    csv.write(b"b_q,sigma2_q,feasible,lambda_max,entangled\n")
-    rows = max(1, _BLOCK_CELLS // n)
-    for j in range(0, n, rows):
-        cells = slice(j * n, min(j + rows, n) * n)
-        csv.write(_csv_block(b_words, s2_words[j:j + rows], grid.feasible[cells],
-                             grid.lambda_max[cells], grid.entangled[cells]))
-    # getvalue hands over the buffer itself rather than a copy
-    return csv.getvalue()
+    line[:, -1] = tail[grid.entangled.astype(np.intp)]
+    out.write(line.tobytes().translate(None, b"\0"))
 
 
 def _cmd_infer(args) -> int:
@@ -204,7 +199,12 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    _emit(region_to_csv(scan_region(args.q, args.grid)), args.out)
+    _check_q(args.q)  # before --out is opened, so that a bad q leaves no file
+    n, rows = args.grid, max(1, _BLOCK_CELLS // args.grid)
+    with _output(args.out) as out:
+        out.write(b"b_q,sigma2_q,feasible,lambda_max,entangled\n")
+        for j in range(0, n, rows):
+            region_to_csv(scan_region(args.q, n, slice(j, j + rows)), out)
     return 0
 
 

@@ -64,19 +64,19 @@ class RegionGrid:
     entangled: np.ndarray
 
 
-def scan_region(q: float, n: int) -> RegionGrid:
-    """Uniform n x n scan of b in [0, 2*sqrt(2)] by sigma2 in [0, 8].
+def scan_region(q: float, n: int, rows: slice = slice(None)) -> RegionGrid:
+    """Uniform n x n scan of b in [0, 2*sqrt(2)] by sigma2 in [0, 8], or its grid rows in rows.
 
-    The scan is one vectorised pass of infer_spectra, so repeated scans are
-    byte-identical.
+    One vectorised pass of infer_spectra, cell by cell: repeated scans are byte-identical,
+    and blocks of rows (a sigma2 each) join into the whole grid.
     """
     import numpy as np
     if n < 2:
         raise ValueError(f"grid resolution must be at least 2, got {n}")
-    s2_grid, b_grid = np.meshgrid(np.linspace(0.0, 8.0, n), np.linspace(0.0, B_MAX, n),
-                                  indexing="ij")
-    batch = infer_spectra(q, b_grid.ravel(), s2_grid.ravel())
-    return RegionGrid(q=q, n=n, b_q=b_grid.ravel(), sigma2_q=s2_grid.ravel(),
+    s2 = np.linspace(0.0, 8.0, n)[rows]
+    b_grid, s2_grid = np.tile(np.linspace(0.0, B_MAX, n), s2.size), np.repeat(s2, n)
+    batch = infer_spectra(q, b_grid, s2_grid)
+    return RegionGrid(q=q, n=n, b_q=b_grid, sigma2_q=s2_grid,
                       feasible=batch.feasible, lambda_max=batch.lambda_max,
                       entangled=criterion_verdict(batch).entangled)
 

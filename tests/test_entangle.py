@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import tracemalloc
 
@@ -154,6 +155,14 @@ def _per_cell_csv(grid):
     return "\n".join(lines) + "\n"
 
 
+def _csv(grid):
+    """The header and what region_to_csv writes for a grid."""
+    out = io.BytesIO()
+    out.write(b"b_q,sigma2_q,feasible,lambda_max,entangled\n")
+    region_to_csv(grid, out)
+    return out.getvalue()
+
+
 class TestKernelAgainstScalarPath:
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_scan_matches_per_cell_inference(self, q):
@@ -172,19 +181,25 @@ class TestKernelAgainstScalarPath:
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_csv_matches_per_cell_formatting(self, q):
         g = scan_region(q, 40)
-        assert region_to_csv(g) == _per_cell_csv(g).encode()
+        assert _csv(g) == _per_cell_csv(g).encode()
 
     @pytest.mark.parametrize("q", KERNEL_QS)
-    def test_csv_matches_per_cell_formatting_on_random_grids(self, q, monkeypatch):
+    def test_cli_scan_matches_per_cell_formatting(self, q, tmp_path, capsysbinary, monkeypatch):
+        """The streamed scan, to --out and to stdout, against one full-grid scan formatted per cell."""
         rng = np.random.default_rng(KERNEL_QS.index(q))
+        target, blocks = tmp_path / "region.csv", (cli._BLOCK_CELLS, 97)
         # blocks hold whole grid rows: 200 rows are 163 + 37 at 32768 cells a block;
         # at 97 cells, sizes below 49 hold several rows a block, and those that
         # 97 // n does not divide end on a shorter one, as 25 rows do (3 a block, 1 last)
-        for block_cells in (cli._BLOCK_CELLS, 97):
-            monkeypatch.setattr(cli, "_BLOCK_CELLS", block_cells)
-            for n in (2, 25, 200, *rng.integers(3, 90, size=3).tolist()):
-                g = scan_region(q, n)
-                assert region_to_csv(g) == _per_cell_csv(g).encode(), (block_cells, n)
+        for n in (2, 3, 25, 100, 200, *rng.integers(3, 90, size=3).tolist()):
+            want = _per_cell_csv(scan_region(q, n)).encode()
+            for block_cells in blocks:
+                monkeypatch.setattr(cli, "_BLOCK_CELLS", block_cells)
+                argv = ["scan", "--q", repr(q), "--grid", str(n)]
+                assert cli.run([*argv, "--out", str(target)]) == 0
+                assert target.read_bytes() == want, (block_cells, n)
+                assert cli.run(argv) == 0
+                assert capsysbinary.readouterr().out == want, (block_cells, n)
 
     def test_csv_of_forced_lambda_max_matches_per_cell_formatting(self, monkeypatch):
         half = [(k + 0.5) / 1e9 for k in (100_000_000, 249_999_999, 250_000_000, 333_333_333,
@@ -209,7 +224,7 @@ class TestKernelAgainstScalarPath:
         formatted = []
         fmt = cli._fmt
         monkeypatch.setattr(cli, "_fmt", lambda x: formatted.append(x) or fmt(x))
-        assert region_to_csv(forced) == _per_cell_csv(forced).encode()
+        assert _csv(forced) == _per_cell_csv(forced).encode()
         # ties and everything outside [0.1, 1] went through format(), the rest did not
         fallback = set(formatted)
         assert set(half) <= fallback and set(outside) <= fallback
