@@ -42,8 +42,7 @@ def ppt_verdict(rho) -> Verdict:
     negative margin signals entanglement here (opposite sign convention
     from the eigenvalue criterion).
     """
-    pt = partial_transpose(rho, "B")
-    margin = float(hermitian_eigen(pt).eigenvalues[0])
+    margin = float(hermitian_eigen(partial_transpose(rho, "B")).eigenvalues[0])
     return Verdict(entangled=margin < -MARGIN_TOL, margin=margin)
 
 

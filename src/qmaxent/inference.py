@@ -272,26 +272,22 @@ class MuFactors:
     mu_minus: float
 
 
-def _mu_exponents(s: InferredState):
-    """ln(w*Z_q) as (ln w - ln w_max) + s.ln_wz on (w_zero, w_minus, w_plus); -inf at w = 0."""
-    w = s.weights.as_tuple()
-    top = math.log(max(w))
-    return [(math.log(x) - top) + s.ln_wz if x > 0.0 else -math.inf for x in w[2::-1]]
-
-
 def mu_factors(s: InferredState) -> MuFactors:
     """(w*Z_q)**((1-q)/q): 0 (q < 1) or inf at w = 0; FloatRangeExceeded past the float range."""
     e = (1.0 - s.q) / s.q
+    w = s.weights.as_tuple()
+    top = math.log(max(w))
 
-    def mu(a):
-        if a == -math.inf:
+    def mu(x):
+        if not x > 0.0:
             return 0.0 if e > 0.0 else math.inf
+        a = (math.log(x) - top) + s.ln_wz
         try:
             return math.exp(e * a)
         except OverflowError:
             raise FloatRangeExceeded(f"mu = exp({e * a:.6g}) exceeds the float range") from None
 
-    return MuFactors(*map(mu, _mu_exponents(s)))
+    return MuFactors(*map(mu, w[2::-1]))
 
 
 @dataclass(frozen=True)
@@ -313,11 +309,14 @@ def lagrange_multipliers(s: InferredState) -> Multipliers:
         lambda_2 = c_q / ((sigma2_q-8)*q)
                    * ( (1-beta)/2 * qexpm1(a_plus, e) + (1+beta)/2 * qexpm1(a_minus, e) )
 
-    with no pole at q = 1, the a_pm from _mu_exponents, accurate as q -> 0.  They satisfy
-    lambda_1 = dS/db_q and lambda_2 = dS/dsigma2_q at fixed q.
+    with no pole at q = 1, and each a as (ln w - ln w_max) + ln_wz, accurate as q -> 0, as in
+    mu_factors.  They satisfy lambda_1 = dS/db_q and lambda_2 = dS/dsigma2_q at fixed q.
     """
-    c = s.constraints
-    w = s.weights
+    return Multipliers(*_multipliers(s.constraints, s.weights, s.c_q, s.ln_wz))
+
+
+def _multipliers(c: ConstraintSet, w: EscortWeights, c_q: float, ln_wz: float):
+    """lagrange_multipliers as (lambda_1, lambda_2) from the state's weights, c_q and ln_wz."""
     if (min(w.w_plus, w.w_minus, w.w_zero) <= BOUNDARY_TOL
             or c.sigma2_q >= SIGMA_MAX - BOUNDARY_TOL):
         raise BoundaryDivergence(
@@ -327,11 +326,11 @@ def lagrange_multipliers(s: InferredState) -> Multipliers:
     q, b, s2 = c.q, c.b_q, c.sigma2_q
     beta = b / B_MAX
     e = (1.0 - q) / q
-    _, a_plus, a_minus = _mu_exponents(s)
-    lam1 = s.c_q * math.exp(e * a_minus) * qexpm1(a_plus - a_minus, e) / (2.0 * B_MAX * q)
+    top = math.log(max(w.w_plus, w.w_minus, w.w_zero))
+    a_plus, a_minus = (math.log(w.w_minus) - top) + ln_wz, (math.log(w.w_plus) - top) + ln_wz
+    lam1 = c_q * math.exp(e * a_minus) * qexpm1(a_plus - a_minus, e) / (2.0 * B_MAX * q)
     bracket = 0.5 * (1.0 - beta) * qexpm1(a_plus, e) + 0.5 * (1.0 + beta) * qexpm1(a_minus, e)
-    lam2 = s.c_q * bracket / ((s2 - 8.0) * q)
-    return Multipliers(lambda_1=lam1, lambda_2=lam2)
+    return lam1, c_q * bracket / ((s2 - 8.0) * q)
 
 
 def fixed_point_residual(s: InferredState, m: Multipliers) -> float:

@@ -19,9 +19,10 @@ from .errors import (
 )
 from .inference import InferredState, qexpm1_scaled
 from .smallmat import (
+    HERMITIAN_TOL,
     SUPPORT_TOL,
+    _density_spectra,
     as_matrix,
-    is_hermitian,
     kron,
     partial_trace,
     validate_density_matrix,
@@ -58,7 +59,7 @@ def q_expectation(rho, obs, q: float) -> float:
     if not q > 0.0:
         raise QOutOfDomain(f"entropic index must satisfy q > 0, got q={q}")
     o = as_matrix(obs)
-    if not is_hermitian(o):
+    if not np.abs(o - o.conj().T).max() <= HERMITIAN_TOL:
         raise NotHermitian("observable is not Hermitian to 1e-10")
     spec = validate_density_matrix(rho)
     lam, vec = spec.eigenvalues, spec.eigenvectors
@@ -87,9 +88,8 @@ def generalized_kl(rho, ref, q_prime: float) -> float:
     import numpy as np
     if not q_prime > 0.0:
         raise QOutOfDomain(f"divergence order must satisfy q' > 0, got {q_prime}")
-    spec, ref_spec = validate_density_matrix(rho), validate_density_matrix(ref)
-    lam, vec = spec.eigenvalues, spec.eigenvectors
-    mu, wec = ref_spec.eigenvalues, ref_spec.eigenvectors
+    a = as_matrix(rho)
+    (lam, mu), (vec, wec) = _density_spectra(np.array((a, as_matrix(ref, dim=a.shape[0]))))
     own, ref_own = lam > 0.0, mu > SUPPORT_TOL
 
     def overlap(cols):  # |<v_i|w_j>|**2 over lam_i > 0 and the reference columns cols

@@ -32,30 +32,34 @@ def as_matrix(m, dim=None) -> np.ndarray:
     return a
 
 
-def is_hermitian(m) -> bool:
+def _checked_eigh(a, tol: float, what: str):
+    """``eigh`` of the Hermitian part of a coerced matrix or stack; NotHermitian past tol."""
     import numpy as np
-    a = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL)
+    ah = a.conj().swapaxes(-1, -2)
+    if not np.abs(a - ah).max() <= tol:  # NaN and inf entries fail this too
+        raise NotHermitian(f"{what} is not Hermitian to {tol:g}")
+    return np.linalg.eigh(0.5 * (a + ah))
+
+
+def _density_spectra(a):
+    """validate_density_matrix on a coerced matrix or stack, one check and ``eigh`` for all."""
+    values, vectors = _checked_eigh(a, DM_TOL, "density matrix")
+    tr = a.trace(axis1=-2, axis2=-1)
+    if (abs(tr - 1.0) > DM_TOL).any():
+        raise ValueError(f"density matrix trace {tr} is not 1 to 1e-12")
+    if values.min() < -DM_TOL:
+        raise ValueError("density matrix has an eigenvalue below -1e-12")
+    return values.clip(0.0), vectors
 
 
 def validate_density_matrix(rho) -> Spectrum:
-    """Check the density-matrix contract: Hermitian, unit trace, PSD.
+    """Check the density-matrix contract: Hermitian, unit trace, PSD, in that order.
 
     Tolerances are 1e-12 for hermiticity and trace and -1e-12 for the
     smallest eigenvalue.  Returns the spectrum of the coerced array, taken
     as ``hermitian_eigen`` takes it, with its eigenvalues clipped at 0.
     """
-    import numpy as np
-    a = as_matrix(rho)
-    if np.max(np.abs(a - a.conj().T)) > DM_TOL:
-        raise NotHermitian("density matrix is not Hermitian to 1e-12")
-    tr = np.trace(a)
-    if abs(tr - 1.0) > DM_TOL:
-        raise ValueError(f"density matrix trace {tr} is not 1 to 1e-12")
-    values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
-    if values.min() < -DM_TOL:
-        raise ValueError("density matrix has an eigenvalue below -1e-12")
-    return Spectrum(eigenvalues=np.clip(values, 0.0, None), eigenvectors=vectors)
+    return Spectrum(*_density_spectra(as_matrix(rho)))
 
 
 @dataclass(frozen=True)
@@ -111,10 +115,4 @@ def hermitian_eigen(m) -> Spectrum:
     Raises :class:`NotHermitian` when the input deviates from Hermiticity
     by more than 1e-10; smaller deviations are symmetrized away.
     """
-    import numpy as np
-    a = as_matrix(m)
-    if not is_hermitian(a):
-        raise NotHermitian("matrix is not Hermitian to 1e-10")
-    sym = 0.5 * (a + a.conj().T)
-    values, vectors = np.linalg.eigh(sym)
-    return Spectrum(eigenvalues=values, eigenvectors=vectors)
+    return Spectrum(*_checked_eigh(as_matrix(m), HERMITIAN_TOL, "matrix"))

@@ -20,8 +20,10 @@ from .inference import (
     ConstraintSet,
     InferredState,
     Multipliers,
+    _multipliers,
+    escort_map,
+    escort_weights,
     infer_state,
-    lagrange_multipliers,
     qexpm1,
     validate_constraints,
 )
@@ -49,10 +51,15 @@ class ThermoPoint:
 
 def free_energy(s: InferredState) -> ThermoPoint:
     """Free energy at an interior point; diverging multipliers propagate."""
-    m = lagrange_multipliers(s)
     entropy = entropy_of_state(s)
-    value = m.lambda_1 * s.constraints.b_q + m.lambda_2 * s.constraints.sigma2_q - entropy
-    return ThermoPoint(S_q=entropy, F_q=value, multipliers=m)
+    value, lam1, lam2 = _free_energy(s.constraints, s.weights, s.c_q, s.ln_wz, entropy)
+    return ThermoPoint(S_q=entropy, F_q=value, multipliers=Multipliers(lam1, lam2))
+
+
+def _free_energy(c, w, c_q, ln_wz, entropy):
+    """free_energy as (F_q, lambda_1, lambda_2) from the state's weights, c_q, ln_wz and S_q."""
+    lam1, lam2 = _multipliers(c, w, c_q, ln_wz)
+    return lam1 * c.b_q + lam2 * c.sigma2_q - entropy, lam1, lam2
 
 
 @dataclass(frozen=True)
@@ -67,10 +74,14 @@ class LegendreReport:
 
 
 def _point(q, b, s2):
+    """(c, w, c_q, ln_wz, S_q) at a stencil point, as infer_state and entropy_of_state give them."""
     try:
-        return infer_state(validate_constraints(q, b, s2))
+        c = validate_constraints(q, b, s2)
     except ConstraintError as exc:
         raise StencilOutOfDomain(f"stencil point (b={b}, sigma2={s2}) infeasible: {exc}") from exc
+    w = escort_weights(c)
+    _, ln_z, ln_wz = escort_map(w.as_tuple(), q)
+    return c, w, math.exp((1.0 - q) * ln_z), ln_wz, qexpm1(math.log(math.exp(ln_z)), 1.0 - q)
 
 
 def legendre_report(c: ConstraintSet, h: float = 1e-5) -> LegendreReport:
@@ -88,32 +99,25 @@ def legendre_report(c: ConstraintSet, h: float = 1e-5) -> LegendreReport:
     if not 1e-8 <= h <= 1e-3:
         raise ValueError(f"finite-difference step must lie in [1e-8, 1e-3], got {h}")
     q, b, s2 = c.q, c.b_q, c.sigma2_q
-    centre = free_energy(_point(q, b, s2))
-    m = centre.multipliers
-    s_bp, s_bm, s_sp, s_sm = [entropy_of_state(_point(q, b + db, s2 + ds))
+    centre = _free_energy(*_point(q, b, s2))
+    _, lam1, lam2 = centre
+    s_bp, s_bm, s_sp, s_sm = [_point(q, b + db, s2 + ds)[4]
                               for db, ds in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))]
     d_s_db, d_s_ds2 = (s_bp - s_bm) / (2.0 * h), (s_sp - s_sm) / (2.0 * h)
-    rel_1 = abs(d_s_db - m.lambda_1) / max(abs(m.lambda_1), 1e-12)
-    rel_2 = abs(d_s_ds2 - m.lambda_2) / max(abs(m.lambda_2), 1e-12)
-
-    steps = 10
     # path point k = 0 is the centre itself, since b + 0*h == b
-    points = [(free_energy(_point(q, b + k * h, s2 + k * h)) if k else centre,
-               b + k * h, s2 + k * h) for k in range(steps + 1)]
+    path = [(b + k * h, s2 + k * h) for k in range(11)]
+    points = [centre] + [_free_energy(*_point(q, *p)) for p in path[1:]]
     residual = 0.0
-    for k in range(steps):
-        t0, b0, s0 = points[k]
-        t1, b1, s1 = points[k + 1]
-        df = t1.F_q - t0.F_q
-        predicted = (0.5 * (b0 + b1) * (t1.multipliers.lambda_1 - t0.multipliers.lambda_1)
-                     + 0.5 * (s0 + s1) * (t1.multipliers.lambda_2 - t0.multipliers.lambda_2))
+    for k in range(10):
+        (f0, l10, l20), (f1, l11, l21) = points[k], points[k + 1]
+        (b0, s0), (b1, s1) = path[k], path[k + 1]
+        df = f1 - f0
+        predicted = 0.5 * (b0 + b1) * (l11 - l10) + 0.5 * (s0 + s1) * (l21 - l20)
         residual = max(residual, abs(df - predicted) / (abs(df) + 1e-15))
     return LegendreReport(
-        dS_db_fd=d_s_db, dS_dsigma2_fd=d_s_ds2,
-        lambda_1=m.lambda_1, lambda_2=m.lambda_2,
-        rel_err_1=rel_1, rel_err_2=rel_2,
-        path_residual=residual,
-    )
+        dS_db_fd=d_s_db, dS_dsigma2_fd=d_s_ds2, lambda_1=lam1, lambda_2=lam2,
+        rel_err_1=abs(d_s_db - lam1) / max(abs(lam1), 1e-12),
+        rel_err_2=abs(d_s_ds2 - lam2) / max(abs(lam2), 1e-12), path_residual=residual)
 
 
 @dataclass(frozen=True)

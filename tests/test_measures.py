@@ -6,7 +6,9 @@ import pytest
 from conftest import random_density, random_unitary
 from decimal_reference import mutual_entropy as reference_mutual_entropy
 from qmaxent.bell import bell_projectors, bell_state, chsh_operator
+from qmaxent.entangle import ppt_verdict
 from qmaxent.errors import (
+    DimensionError,
     FloatRangeExceeded,
     NotHermitian,
     QOutOfDomain,
@@ -148,6 +150,50 @@ class TestGeneralizedKL:
                 assert generalized_kl(rho, ref, qp) >= -1e-12
 
 
+def _non_hermitian():
+    m = I4 / 4
+    m[0, 1] = 1e-6
+    return m
+
+
+#: one defect each, with the error generalized_kl raises for it in either argument
+DEFECTS = {
+    "non_hermitian": (_non_hermitian(), NotHermitian),
+    "bad_trace": (I4, ValueError),
+    "negative_eigenvalue": (np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex), ValueError),
+    "nan": (np.full((4, 4), np.nan), NotHermitian),
+    "wrong_shape": (np.eye(3) / 3, DimensionError),
+}
+
+
+class TestDivergenceErrors:
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    @pytest.mark.parametrize("side", ["rho", "ref"])
+    def test_each_defect_in_each_argument(self, defect, side):
+        bad, error = DEFECTS[defect]
+        args = (bad, I4 / 4) if side == "rho" else (I4 / 4, bad)
+        with pytest.raises(error) as info:
+            generalized_kl(*args, 2.0)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_each_defect_in_the_mutual_entropy_state(self, defect):
+        bad, error = DEFECTS[defect]
+        with pytest.raises(error) as info:
+            mutual_entropy(bad, 2.0)
+        assert type(info.value) is error
+
+    def test_states_of_different_dimension(self):
+        for rho, ref in ((I4 / 4, np.eye(2) / 2), (np.eye(2) / 2, I4 / 4)):
+            with pytest.raises(DimensionError):
+                generalized_kl(rho, ref, 2.0)
+
+    def test_hermiticity_is_checked_on_both_states_first(self):
+        # the two states are checked as one stack: Hermiticity, then trace, then PSD
+        with pytest.raises(NotHermitian):
+            generalized_kl(I4, _non_hermitian(), 2.0)
+
+
 class TestMarginals:
     def test_inferred_states_maximally_mixed(self):
         for q in (0.1, 1.0, 2.0):
@@ -235,16 +281,21 @@ class TestMutualEntropy:
 class TestOneDiagonalisationPerMatrix:
     @pytest.fixture
     def count(self, monkeypatch):
-        calls = []
+        calls = []  # (function name, shape of the array diagonalised)
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name,
-                                lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+            monkeypatch.setattr(np.linalg, name, lambda a, *r, _real=real, _name=name, **k:
+                                calls.append((_name, np.shape(a))) or _real(a, *r, **k))
         return calls
 
     def test_mutual_entropy_diagonalises_state_and_product_once_each(self, count):
+        # both in one eigh of the stack [rho, product of marginals]
         mutual_entropy(to_density_matrix(inferred()), 2.0)
-        assert len(count) == 2
+        assert count == [("eigh", (2, 4, 4))]
+
+    def test_ppt_verdict_diagonalises_the_partial_transpose_once(self, count):
+        ppt_verdict(to_density_matrix(inferred()))
+        assert count == [("eigh", (4, 4))]
 
     def test_entropy_and_expectation_diagonalise_once(self, count):
         rho = to_density_matrix(inferred())

@@ -149,3 +149,13 @@ class TestValidateDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             validate_density_matrix(np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex))
+
+    def test_rejects_non_finite_entries(self):
+        # NaN and inf fail the Hermiticity check instead of reaching eigh
+        for bad in (np.nan, np.inf):
+            m = np.eye(4, dtype=complex) / 4
+            m[1, 2] = bad
+            with pytest.raises(NotHermitian):
+                validate_density_matrix(m)
+            with pytest.raises(NotHermitian):
+                hermitian_eigen(m)

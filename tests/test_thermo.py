@@ -1,12 +1,13 @@
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
 from conftest import B_MAX
 from qmaxent.bell import bell_projectors
-from qmaxent.errors import BoundaryDivergence, StencilOutOfDomain
-import qmaxent.thermo as thermo
+from qmaxent.errors import BoundaryDivergence, ConstraintError, StencilOutOfDomain
 from qmaxent.inference import (
     infer_state,
     lagrange_multipliers,
@@ -15,6 +16,7 @@ from qmaxent.inference import (
 )
 from qmaxent.measures import tsallis_entropy
 from qmaxent.thermo import (
+    LegendreReport,
     entropy_of_state,
     free_energy,
     legendre_report,
@@ -95,36 +97,80 @@ class TestLegendreReport:
         with pytest.raises(StencilOutOfDomain):
             legendre_report(validate_constraints(2.0, 1.0, B_MAX + 5e-6), h=1e-5)
 
-    def test_builds_each_state_once(self, monkeypatch):
-        # centre (reused as path point 0) + four stencil points + ten more path
-        # points; values recorded when the stencil states were built twice agree
-        # to FD rounding
+    def test_equals_the_state_based_route_bitwise(self):
+        # every field equals the audit written on InferredState and ThermoPoint:
+        # entropy_of_state(infer_state(...)) at the stencil points and
+        # free_energy(infer_state(...)) along the path
+        def state_route(c, h):
+            q, b, s2 = c.q, c.b_q, c.sigma2_q
+
+            def state(b, s2):
+                return infer_state(validate_constraints(q, b, s2))
+
+            m = lagrange_multipliers(state(b, s2))
+            s_bp, s_bm, s_sp, s_sm = [entropy_of_state(state(b + db, s2 + ds))
+                                      for db, ds in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))]
+            d_s_db, d_s_ds2 = (s_bp - s_bm) / (2.0 * h), (s_sp - s_sm) / (2.0 * h)
+            path = [(b + k * h, s2 + k * h) for k in range(11)]
+            points = [free_energy(state(*p)) for p in path]
+            residual = 0.0
+            for k in range(10):
+                t0, t1, (b0, s0), (b1, s1) = points[k], points[k + 1], path[k], path[k + 1]
+                df = t1.F_q - t0.F_q
+                predicted = (0.5 * (b0 + b1) * (t1.multipliers.lambda_1 - t0.multipliers.lambda_1)
+                             + 0.5 * (s0 + s1) * (t1.multipliers.lambda_2 - t0.multipliers.lambda_2))
+                residual = max(residual, abs(df - predicted) / (abs(df) + 1e-15))
+            return LegendreReport(
+                dS_db_fd=d_s_db, dS_dsigma2_fd=d_s_ds2,
+                lambda_1=m.lambda_1, lambda_2=m.lambda_2,
+                rel_err_1=abs(d_s_db - m.lambda_1) / max(abs(m.lambda_1), 1e-12),
+                rel_err_2=abs(d_s_ds2 - m.lambda_2) / max(abs(m.lambda_2), 1e-12),
+                path_residual=residual,
+            )
+
+        def bits(report):
+            return [x.hex() for x in dataclasses.astuple(report)]
+
+        gen = random.Random(20261019)
+        checked = 0
+        for _ in range(400):
+            q = math.exp(gen.uniform(math.log(0.05), math.log(20.0)))
+            b = B_MAX * gen.uniform(0.05, 0.95)
+            s2 = B_MAX * b + gen.uniform(0.05, 0.95) * (8.0 - B_MAX * b)
+            for h in (1e-5, 1e-3):
+                c = validate_constraints(q, b, s2)
+                try:
+                    expected = state_route(c, h)
+                except ConstraintError:
+                    with pytest.raises(StencilOutOfDomain):
+                        legendre_report(c, h=h)
+                    continue
+                assert bits(legendre_report(c, h=h)) == bits(expected), (q, b, s2, h)
+                checked += 1
+        assert checked > 700
+
+        # values recorded at the baseline point
+        r = legendre_report(validate_constraints(2.0, math.sqrt(2.0), 6.0), h=1e-5)
         recorded = {"dS_db_fd": -0.04356588188536569, "dS_dsigma2_fd": -0.015402865249924956,
                     "lambda_1": -0.04356588187363552, "lambda_2": -0.01540286525060986}
-        q, b, s2, h = 2.0, math.sqrt(2.0), 6.0, 1e-5
-        real = thermo.infer_state
-        calls = []
-
-        def counting(c):
-            calls.append(c)
-            return real(c)
-
-        monkeypatch.setattr(thermo, "infer_state", counting)
-        r = legendre_report(validate_constraints(q, b, s2), h=h)
-        assert len(calls) == 15
-
-        def entropy(db, ds):
-            return entropy_of_state(real(validate_constraints(q, b + db, s2 + ds)))
-
-        m = lagrange_multipliers(real(validate_constraints(q, b, s2)))
-        assert r.dS_db_fd == (entropy(h, 0.0) - entropy(-h, 0.0)) / (2.0 * h)
-        assert r.dS_dsigma2_fd == (entropy(0.0, h) - entropy(0.0, -h)) / (2.0 * h)
-        assert (r.lambda_1, r.lambda_2) == (m.lambda_1, m.lambda_2)
-        assert r.rel_err_1 == abs(r.dS_db_fd - m.lambda_1) / abs(m.lambda_1)
-        assert r.rel_err_2 == abs(r.dS_dsigma2_fd - m.lambda_2) / abs(m.lambda_2)
         for name, value in recorded.items():
             assert abs(getattr(r, name) - value) <= 1e-9 * abs(value), name
         assert r.path_residual < 1e-6
+
+    def test_infeasible_stencil_point_is_named(self):
+        # the message names the first infeasible point and carries the validation error
+        h = 1e-5
+        for q, b, s2, (db, ds) in ((2.0, 0.0, 6.0, (-h, 0.0)),
+                                   (0.5, 1.0, 8.0 - 5e-6, (0.0, h)),
+                                   (3.0, 1.0, B_MAX + 5e-6, (h, 0.0))):
+            bad = (b + db, s2 + ds)
+            with pytest.raises(ConstraintError) as cause:
+                validate_constraints(q, *bad)
+            with pytest.raises(StencilOutOfDomain) as info:
+                legendre_report(validate_constraints(q, b, s2), h=h)
+            assert str(info.value) == (f"stencil point (b={bad[0]}, sigma2={bad[1]}) "
+                                       f"infeasible: {cause.value}")
+            assert type(info.value.__cause__) is type(cause.value)
 
     def test_step_validation(self):
         c = validate_constraints(2.0, 1.0, 6.0)
