@@ -55,11 +55,18 @@ def minimize(*args, **kwargs):
 
 @dataclass(frozen=True)
 class OracleResult:
-    eigenvalues: np.ndarray
+    """An oracle's state; ``eigenvalues`` is ``spectrum`` as an array, built on each read."""
+
+    spectrum: tuple[float, ...]
     achieved_entropy: float
     constraint_residual: float
     iterations: int
     t_split: float | None = None
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        import numpy as np
+        return np.array(self.spectrum)
 
 
 def escort_residual(eigenvalues, c: ConstraintSet):
@@ -67,11 +74,11 @@ def escort_residual(eigenvalues, c: ConstraintSet):
 
     The spectrum is taken in slot order (phi_plus, psi_minus, deg, deg).
     """
-    import numpy as np
-    lam = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, None)
-    # escort weights are scale-free; over lam.max(), lam**q cannot all underflow at large q
-    lam_q = (lam / lam.max()) ** c.q
-    norm = lam_q.sum()
+    lam = [max(float(x), 0.0) for x in eigenvalues]
+    # escort weights are scale-free; over max(lam), lam**q cannot all underflow at large q
+    top = max(lam)
+    lam_q = [(x / top) ** c.q for x in lam]
+    norm = sum(lam_q)  # in index order, as numpy sums a 4-vector: reassociating moves the digits
     b_rec = B_MAX * (lam_q[0] - lam_q[1]) / norm
     s2_rec = 8.0 * (lam_q[0] + lam_q[1]) / norm
     return max(abs(b_rec - c.b_q), abs(s2_rec - c.sigma2_q))
@@ -145,7 +152,6 @@ def maxent_split_oracle(c: ConstraintSet) -> OracleResult:
     search: typically 6 to 40, where the golden section it replaced made 47
     (the 45 loop iterations it reported, plus its first two points).
     """
-    import numpy as np
     w = escort_weights(c)
     q = c.q
     free = 2.0 * w.w_zero
@@ -158,9 +164,10 @@ def maxent_split_oracle(c: ConstraintSet) -> OracleResult:
     if free > 0.0:
         t_best, iterations = _brent_maximize(log_partition_at, free)
     roots, ln_z, _ = escort_map((w.w_plus, w.w_minus, t_best, free - t_best), q)
-    lam = np.asarray(roots) / sum(roots)
+    total = sum(roots)
+    lam = tuple(r / total for r in roots)
     return OracleResult(
-        eigenvalues=lam,
+        spectrum=lam,
         achieved_entropy=qexpm1(ln_z, 1.0 - q),
         constraint_residual=escort_residual(lam, c),
         iterations=iterations,
@@ -257,7 +264,7 @@ def maxent_general_oracle(c: ConstraintSet, seed: int, budget: int = 6000) -> Or
         residual = float(np.max(np.abs(escorts - target)))
         if residual <= _RESIDUAL_TARGET and solve.status != _SLSQP_ITERATION_LIMIT:
             return OracleResult(
-                eigenvalues=np.sort(lam),
+                spectrum=tuple(np.sort(lam).tolist()),
                 achieved_entropy=entropy,
                 constraint_residual=residual,
                 iterations=evaluations,
@@ -268,6 +275,6 @@ def maxent_general_oracle(c: ConstraintSet, seed: int, budget: int = 6000) -> Or
 
 def compare_states(a, b) -> float:
     """Largest absolute difference of the sorted spectra of two InferredState or OracleResult."""
-    x, y = (sorted(s.eigenvalues() if isinstance(s, InferredState) else s.eigenvalues)
+    x, y = (sorted(s.eigenvalues() if isinstance(s, InferredState) else s.spectrum)
             for s in (a, b))
     return float(max(abs(u - v) for u, v in zip(x, y)))

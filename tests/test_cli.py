@@ -4,7 +4,6 @@ import json
 import math
 import tracemalloc
 
-import numpy as np
 import pytest
 
 import qmaxent.cli as cli
@@ -138,6 +137,23 @@ class TestGoldenOutput:
         payload = json.loads(out)
         assert list(payload)[4:] == ["path_residual", "rel_err_1", "rel_err_2"]
         assert all(0.0 <= payload[k] < 1e-8 for k in list(payload)[4:])
+
+    def test_verify_split(self, capsys):
+        # max_eigenvalue_diff and constraint_residual are round-off: present, not pinned
+        keys = ["achieved_entropy", "closed_form_entropy", "constraint_residual", "iterations",
+                "max_eigenvalue_diff", "oracle", "passed"]
+        stable = {"achieved_entropy": 0.708203931, "closed_form_entropy": 0.708203931,
+                  "iterations": 6, "oracle": "split", "passed": True}
+        assert cli.run(["verify", *BASELINE]) == 0
+        plain = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert list(plain) == keys
+        assert {k: plain[k] for k in stable} == {
+            "achieved_entropy": "0.708203931", "closed_form_entropy": "0.708203931",
+            "iterations": "6", "oracle": "split", "passed": "true"}
+        assert cli.run(["verify", *BASELINE, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == keys
+        assert {k: payload[k] for k in stable} == stable
 
     def test_formatters_reject_lists(self):
         for formatter in (cli.to_json, cli.to_plain):
@@ -363,7 +379,7 @@ class TestVerify:
         assert cli.run(["verify", "--q", "1e-10", "--b", "0", "--sigma2", "4"]) == 0
 
     def test_forced_failure_exits_4(self, capsys, monkeypatch):
-        bogus = OracleResult(eigenvalues=np.array([0.7, 0.1, 0.1, 0.1]),
+        bogus = OracleResult(spectrum=(0.7, 0.1, 0.1, 0.1),
                              achieved_entropy=0.9, constraint_residual=0.0,
                              iterations=1, t_split=0.0)
         monkeypatch.setattr(cli, "maxent_split_oracle", lambda c, **kw: bogus)

@@ -35,9 +35,10 @@ def run_fresh(argv):
     (["infer", *DATA], ("numpy", "scipy")),
     (["thermo", *DATA], ("numpy", "scipy")),
     (["mutual", *DATA], ("scipy",)),
-    (["verify", *DATA], ("scipy",)),
+    (["verify", *DATA], ("numpy", "scipy")),
+    (["verify", *DATA, "--json"], ("numpy", "scipy")),
     (["scan", "--q", "2", "--grid", "2"], ("scipy",)),
-], ids=["infer", "thermo", "mutual", "verify-split", "scan"])
+], ids=["infer", "thermo", "mutual", "verify-split", "verify-split-json", "scan"])
 def test_subcommand_leaves_heavy_modules_unloaded(argv, absent):
     result = run_fresh(argv)
     assert result["code"] == 0

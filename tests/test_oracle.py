@@ -244,6 +244,32 @@ class TestEscortSearchGradients:
                 assert np.all(np.isfinite(part)), (rank, q)
 
 
+class TestResultType:
+    """``spectrum`` is a tuple of floats and ``eigenvalues`` the same values as an array."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        c = validate_constraints(0.5, 1.0, 6.0)
+        return c, (maxent_split_oracle(c), maxent_general_oracle(c, seed=7))
+
+    def test_eigenvalues_is_the_spectrum_as_a_float64_array(self, case):
+        for result in case[1]:
+            assert type(result.spectrum) is tuple
+            assert all(type(x) is float for x in result.spectrum)
+            lam = result.eigenvalues
+            assert isinstance(lam, np.ndarray) and lam.dtype == np.float64
+            assert lam.tolist() == list(result.spectrum)
+
+    def test_tuple_and_array_give_the_same_float(self, case):
+        c, results = case
+        state = infer_state(c)
+        for result in results:
+            as_array = OracleResult(result.eigenvalues, 0.0, 0.0, 0)
+            assert compare_states(state, result) == compare_states(state, as_array)
+            assert compare_states(as_array, result) == 0.0
+            assert escort_residual(result.spectrum, c) == escort_residual(result.eigenvalues, c)
+
+
 class TestCompareStates:
     def test_identical(self):
         s = infer_state(constraints(2.0))
