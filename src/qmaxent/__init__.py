@@ -2,7 +2,8 @@
 
 numpy is imported inside the functions that build arrays, and scipy only inside
 the general oracle's solver call, so the scalar closed form and the CLI commands
-built on it (``infer``, ``thermo``) load neither; ``tests/test_imports.py`` checks this.
+built on it (``infer``, ``thermo`` and split ``verify``) load neither;
+``tests/test_imports.py`` checks this.
 """
 
 from .errors import (
