@@ -21,29 +21,29 @@ if TYPE_CHECKING:
 #: upper end of the admissible range of the correlation datum
 B_MAX = 2.0 * math.sqrt(2.0)
 
-_BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
+_PAULI = {"x": [[0, 1], [1, 0]], "y": [[0, -1j], [1j, 0]], "z": [[1, 0], [0, -1]]}
+
+#: bitwise 1.0 / np.sqrt(2.0): both square roots are correctly rounded
+_S = 1.0 / math.sqrt(2.0)
+#: basis order |00>, |01>, |10>, |11>; the key order is the label order of bell_projectors
+_BELL = {"phi_plus": [_S, 0, 0, _S], "phi_minus": [_S, 0, 0, -_S],
+         "psi_plus": [0, _S, _S, 0], "psi_minus": [0, _S, -_S, 0]}
+_BELL_LABELS = tuple(_BELL)
 
 
-@lru_cache(maxsize=1)
-def _pauli_table() -> dict:
-    """The three read-only Pauli matrices, built on first use."""
+def _read_only(values) -> np.ndarray:
+    """A new read-only complex array of values; every constant of this module is one."""
     import numpy as np
-    table = {
-        "x": np.array([[0, 1], [1, 0]], dtype=complex),
-        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    for m in table.values():
-        m.setflags(write=False)
-    return table
+    a = np.array(values, dtype=complex)
+    a.setflags(write=False)
+    return a
 
 
 def pauli(axis: str) -> np.ndarray:
     """Standard Pauli matrix in the up/down basis (up = index 0)."""
-    try:
-        return _pauli_table()[axis]
-    except KeyError:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
+    if axis not in _PAULI:
+        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
+    return _read_only(_PAULI[axis])
 
 
 def bell_state(label: str) -> np.ndarray:
@@ -53,32 +53,17 @@ def bell_state(label: str) -> np.ndarray:
     phi_pm = (|00> pm |11>)/sqrt(2), psi_pm = (|01> pm |10>)/sqrt(2).
     Global phases are fixed exactly as written; no rephasing is applied.
     """
-    import numpy as np
-    s = 1.0 / np.sqrt(2.0)
-    table = {
-        "phi_plus": [s, 0, 0, s],
-        "phi_minus": [s, 0, 0, -s],
-        "psi_plus": [0, s, s, 0],
-        "psi_minus": [0, s, -s, 0],
-    }
-    try:
-        v = np.array(table[label], dtype=complex)
-    except KeyError:
-        raise ValueError(f"unknown Bell label {label!r}; expected one of {_BELL_LABELS}") from None
-    v.setflags(write=False)
-    return v
+    if label not in _BELL:
+        raise ValueError(f"unknown Bell label {label!r}; expected one of {_BELL_LABELS}")
+    return _read_only(_BELL[label])
 
 
 @lru_cache(maxsize=1)
 def bell_projectors() -> dict:
     """Rank-one projectors onto the four Bell states, keyed by label."""
     import numpy as np
-    projs = {}
-    for lab in _BELL_LABELS:
-        v = bell_state(lab)
-        projs[lab] = np.outer(v, v.conj())
-        projs[lab].setflags(write=False)
-    return projs
+    vectors = {lab: bell_state(lab) for lab in _BELL_LABELS}
+    return {lab: _read_only(np.outer(v, v.conj())) for lab, v in vectors.items()}
 
 
 @dataclass(frozen=True)
@@ -91,18 +76,12 @@ class ChshOperators:
 
 @lru_cache(maxsize=1)
 def chsh_operator() -> ChshOperators:
-    import numpy as np
     sx, sz = pauli("x"), pauli("z")
-    b_op = np.sqrt(2.0) * (kron(sx, sx) + kron(sz, sz))
-    b_squared = b_op @ b_op
-    b_op.setflags(write=False)
-    b_squared.setflags(write=False)
-    return ChshOperators(b_op=b_op, b_squared=b_squared)
+    b_op = math.sqrt(2.0) * (kron(sx, sx) + kron(sz, sz))
+    return ChshOperators(b_op=_read_only(b_op), b_squared=_read_only(b_op @ b_op))
 
 
 def chsh_squared() -> np.ndarray:
     """The squared observable built from its spectral projectors directly."""
     projs = bell_projectors()
-    m = 8.0 * (projs["phi_plus"] + projs["psi_minus"])
-    m.setflags(write=False)
-    return m
+    return _read_only(8.0 * (projs["phi_plus"] + projs["psi_minus"]))

@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Subcommands: infer, scan, mutual, thermo, verify.  Exit codes: 0 success,
-2 usage error, 3 domain or constraint error, 4 verification failure.
+2 usage error or unusable --out, 3 domain or constraint error, 4 verification failure.
 Float output is fixed at nine significant digits so repeated runs produce
 byte-identical files.
 """
@@ -90,6 +90,8 @@ def _emit(payload: str, out_path):
 
 #: grid cells in a block of whole grid rows (at least one); bounds the scan's scratch arrays
 _BLOCK_CELLS = 1 << 15
+#: largest --grid: one grid row then fits in a block, so every accepted scan's memory is bounded
+_MAX_GRID = _BLOCK_CELLS
 #: a lambda_max whose x*1e9 lies this close to a half-integer is left to _fmt:
 #: the product carries at most 6e-8 of rounding error there, so rint is exact further out
 _TIE_TOL = 1e-6
@@ -324,6 +326,8 @@ def _validate_flags(args) -> str | None:
             return f"--{name.replace('_', '-')} must be finite, got {value}"
     if getattr(args, "grid", 2) < 2:
         return f"--grid must be at least 2, got {args.grid}"
+    if getattr(args, "grid", 2) > _MAX_GRID:
+        return f"--grid must be at most {_MAX_GRID}, got {args.grid}"
     if hasattr(args, "fd_step") and not 1e-8 <= args.fd_step <= 1e-3:
         return f"--fd-step must lie in [1e-8, 1e-3], got {args.fd_step}"
     if getattr(args, "budget", 6000) < 1000:
@@ -350,6 +354,9 @@ def run(argv) -> int:
     except QmaxentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an --out path that cannot be opened or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

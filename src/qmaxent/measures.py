@@ -63,7 +63,7 @@ def q_expectation(rho, obs, q: float) -> float:
         raise NotHermitian("observable is not Hermitian to 1e-10")
     spec = validate_density_matrix(rho)
     lam, vec = spec.eigenvalues, spec.eigenvectors
-    lam_q = lam ** q
+    lam_q = (lam / lam.max()) ** q  # scaled by the top eigenvalue: lam ** q underflows at large q
     diag = np.real(np.einsum("ij,jk,ki->i", vec.conj().T, o, vec))
     return float((lam_q * diag).sum() / lam_q.sum())
 

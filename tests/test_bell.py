@@ -93,3 +93,57 @@ class TestObservableSquared:
     def test_vanishes_on_psi_plus(self):
         v = bell_state("psi_plus")
         assert abs(v.conj() @ chsh_squared() @ v) < 1e-12
+
+
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+S = 1.0 / np.sqrt(2.0)
+VECTORS = {
+    "phi_plus": np.array([S, 0, 0, S], dtype=complex),
+    "phi_minus": np.array([S, 0, 0, -S], dtype=complex),
+    "psi_plus": np.array([0, S, S, 0], dtype=complex),
+    "psi_minus": np.array([0, S, -S, 0], dtype=complex),
+}
+PROJECTORS = {lab: np.outer(v, v.conj()) for lab, v in VECTORS.items()}
+B_OP = np.sqrt(2.0) * (np.kron(SX, SX) + np.kron(SZ, SZ))
+
+
+def assert_exact_constant(value, expected):
+    """Same dtype, shape and bytes (so signed zeros too), and not writeable."""
+    assert value.dtype == expected.dtype == np.complex128
+    assert value.shape == expected.shape
+    assert value.tobytes() == expected.tobytes()
+    assert not value.flags.writeable
+
+
+class TestConstantsBitForBit:
+    def test_pauli(self):
+        for axis, expected in zip("xyz", (SX, SY, SZ)):
+            assert_exact_constant(pauli(axis), expected)
+
+    def test_bell_states(self):
+        for label, expected in VECTORS.items():
+            assert_exact_constant(bell_state(label), expected)
+
+    def test_projectors(self):
+        projs = bell_projectors()
+        assert list(projs) == list(PROJECTORS)
+        for label, expected in PROJECTORS.items():
+            assert_exact_constant(projs[label], expected)
+
+    def test_observable_and_square(self):
+        ops = chsh_operator()
+        assert_exact_constant(ops.b_op, B_OP)
+        assert_exact_constant(ops.b_squared, B_OP @ B_OP)
+        spectral = 8.0 * (PROJECTORS["phi_plus"] + PROJECTORS["psi_minus"])
+        assert_exact_constant(chsh_squared(), spectral)
+
+    def test_error_texts(self):
+        with pytest.raises(ValueError) as axis_error:
+            pauli("w")
+        assert str(axis_error.value) == "axis must be one of 'x', 'y', 'z', got 'w'"
+        with pytest.raises(ValueError) as label_error:
+            bell_state("phi")
+        assert str(label_error.value) == ("unknown Bell label 'phi'; expected one of "
+                                          "('phi_plus', 'phi_minus', 'psi_plus', 'psi_minus')")

@@ -179,6 +179,34 @@ class TestUsageErrors:
         assert cli.run(["verify", "--q", "2", "--b", "1", "--sigma2", "6",
                         "--oracle", "general", "--budget", "10"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["infer", "--q", "nan", "--b", "1", "--sigma2", "6"],
+        ["infer", "--q", "2", "--b", "inf", "--sigma2", "6"],
+        ["mutual", "--q", "2", "--b", "1", "--sigma2", "6", "--qprime", "nan"],
+        ["thermo", "--q", "2", "--b", "1", "--sigma2", "6", "--fd-step", "nan"],
+    ])
+    def test_non_finite_flag(self, argv, capsys):
+        assert cli.run(argv) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_grid_above_the_block_size(self, tmp_path, capsys):
+        target = tmp_path / "never.csv"
+        assert cli.run(["scan", "--q", "2", "--grid", "32769", "--out", str(target)]) == 2
+        assert "--grid must be at most 32768" in capsys.readouterr().err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["infer", "--q", "2", "--b", "1.4142136", "--sigma2", "6"],
+        ["scan", "--q", "2", "--grid", "8"],
+    ], ids=["infer", "scan"])
+    @pytest.mark.parametrize("out", ["missing/f.txt", "."], ids=["missing-dir", "directory"])
+    def test_unusable_out(self, argv, out, tmp_path, capsys):
+        """An --out in a missing directory, or naming a directory, is a usage error."""
+        assert cli.run([*argv, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestScan:
     def test_row_count_and_header(self, tmp_path):

@@ -11,12 +11,14 @@ from qmaxent.errors import (
     BoundaryDivergence,
     BOutOfRange,
     FloatRangeExceeded,
+    NegativeBracket,
     QOutOfDomain,
     SigmaOutOfRange,
     UncertaintyViolated,
 )
 from qmaxent.inference import (
     InferredState,
+    Multipliers,
     escort_weights,
     fixed_point_residual,
     infer_state,
@@ -355,6 +357,18 @@ class TestFixedPoint:
         s = point(600.0, 1.0, 5.0)
         with pytest.raises(FloatRangeExceeded):
             fixed_point_residual(s, lagrange_multipliers(s))
+
+    def test_non_finite_multipliers(self):
+        s = point(2.0)
+        for bad in (Multipliers(math.inf, 0.0), Multipliers(0.0, math.nan)):
+            with pytest.raises(BoundaryDivergence):
+                fixed_point_residual(s, bad)
+
+    def test_negative_bracket_above_q_one(self):
+        # at q = 2 the bracket is 1 - x, and lambda_2 = -1e3 makes x far above 1
+        s = point(2.0)
+        with pytest.raises(NegativeBracket):
+            fixed_point_residual(s, Multipliers(0.0, -1e3))
 
     def test_boundary_state_has_no_multipliers(self):
         s = infer_state(validate_constraints(2.0, B_MAX, 8.0))

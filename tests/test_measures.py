@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_density, random_unitary
 from decimal_reference import mutual_entropy as reference_mutual_entropy
-from qmaxent.bell import bell_projectors, bell_state, chsh_operator
+from qmaxent.bell import B_MAX, bell_projectors, bell_state, chsh_operator
 from qmaxent.entangle import ppt_verdict
 from qmaxent.errors import (
     DimensionError,
@@ -105,6 +106,26 @@ class TestQExpectation:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             q_expectation(I4 / 4, np.triu(np.ones((4, 4))), 2.0)
+
+    def test_large_order_concentrates_on_the_top_eigenvector(self):
+        # the top eigenvalue sits alone on phi_plus, where B takes its largest value B_MAX
+        rho = to_density_matrix(inferred(2.0, 2.6, 7.5))
+        for q in (1e300, math.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = q_expectation(rho, chsh_operator().b_op, q)
+            assert abs(value - B_MAX) < 1e-12
+
+
+@pytest.mark.parametrize("order", [0.0, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda order: q_expectation(I4 / 4, I4, order),
+    lambda order: generalized_kl(I4 / 4, I4 / 4, order),
+    lambda order: mutual_entropy_closed_form(inferred(), order),
+], ids=["q_expectation", "generalized_kl", "mutual_entropy_closed_form"])
+def test_order_zero_or_nan_is_out_of_domain(call, order):
+    with pytest.raises(QOutOfDomain):
+        call(order)
 
 
 class TestGeneralizedKL:

@@ -69,6 +69,10 @@ class TestPartialTrace:
         with pytest.raises(DimensionError):
             partial_trace(I2, "B")
 
+    def test_rejects_unknown_subsystem(self):
+        with pytest.raises(ValueError, match="subsystem must be 'A' or 'B'"):
+            partial_trace(I4, "C")
+
 
 class TestPartialTranspose:
     def test_product_case(self, rng):
@@ -80,6 +84,10 @@ class TestPartialTranspose:
     def test_involution(self, rng):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert np.array_equal(partial_transpose(partial_transpose(m, "B"), "B"), m)
+
+    def test_rejects_unknown_subsystem(self):
+        with pytest.raises(ValueError, match="subsystem must be 'A' or 'B'"):
+            partial_transpose(I4, "C")
 
     def test_bell_projector_spectrum(self):
         # eigendecomposition of the partially transposed projector
