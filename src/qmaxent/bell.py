@@ -9,9 +9,8 @@ commutes with it and is the second datum of the inference problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .smallmat import kron
 
@@ -66,8 +65,7 @@ def bell_projectors() -> dict:
     return {lab: _read_only(np.outer(v, v.conj())) for lab, v in vectors.items()}
 
 
-@dataclass(frozen=True)
-class ChshOperators:
+class ChshOperators(NamedTuple):
     """The observable and its square, shared immutable constants."""
 
     b_op: np.ndarray

@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
 
 from .errors import BoundaryDivergence, BudgetExhausted, QmaxentError
 from .entangle import RegionGrid, criterion_verdict, scan_region
@@ -171,8 +170,7 @@ def _cmd_infer(args) -> int:
     verdict = criterion_verdict(state)
     entropy = entropy_of_state(state)
     try:
-        mult = lagrange_multipliers(state)
-        lam1, lam2 = mult.lambda_1, mult.lambda_2
+        lam1, lam2 = lagrange_multipliers(state)
         free = lam1 * state.constraints.b_q + lam2 * state.constraints.sigma2_q - entropy
     except BoundaryDivergence:
         lam1 = lam2 = free = None
@@ -194,7 +192,7 @@ def _cmd_infer(args) -> int:
         "lambda_max": state.lambda_max,
         "q": state.constraints.q,
         "sigma2_q": state.constraints.sigma2_q,
-        "weights": asdict(state.weights),
+        "weights": state.weights._asdict(),
     }
     _emit(to_json(payload) if args.json else to_plain(payload), args.out)
     return 0
@@ -227,8 +225,8 @@ def _cmd_mutual(args) -> int:
 
 
 def _cmd_thermo(args) -> int:
-    payload = asdict(legendre_report(validate_constraints(args.q, args.b, args.sigma2),
-                                     h=args.fd_step))
+    payload = legendre_report(validate_constraints(args.q, args.b, args.sigma2),
+                              h=args.fd_step)._asdict()
     _emit(to_json(payload) if args.json else to_plain(payload), args.out)
     return 0
 
@@ -332,6 +330,8 @@ def _validate_flags(args) -> str | None:
         return f"--fd-step must lie in [1e-8, 1e-3], got {args.fd_step}"
     if getattr(args, "budget", 6000) < 1000:
         return f"--budget must be at least 1000, got {args.budget}"
+    if getattr(args, "seed", 0) < 0:
+        return f"--seed must be non-negative, got {args.seed}"
     return None
 
 

@@ -8,8 +8,7 @@ independent cross-check for arbitrary two-qubit states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EmptyGrid
 from .bell import B_MAX
@@ -23,8 +22,7 @@ if TYPE_CHECKING:
 MARGIN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     entangled: bool
     margin: float
 
@@ -46,8 +44,7 @@ def ppt_verdict(rho) -> Verdict:
     return Verdict(entangled=margin < -MARGIN_TOL, margin=margin)
 
 
-@dataclass(frozen=True)
-class RegionGrid:
+class RegionGrid(NamedTuple):
     """Rasterized scan of the data domain, row-major with b varying fastest.
 
     Infeasible cells (uncertainty relation violated) carry lambda_max = nan

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bell import B_MAX, bell_projectors
 from .errors import (
@@ -84,21 +83,19 @@ def _check_q(q: float) -> None:
         raise QOutOfDomain(f"entropic index q={q} is not a normal float >= {sys.float_info.min}")
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(NamedTuple("ConstraintSet", [("q", float), ("b_q", float),
+                                                  ("sigma2_q", float)])):
     """Validated problem input (q, b_q, sigma2_q).
 
     Construction enforces the data domain: q > 0 (a normal float), 0 <= b_q <= 2*sqrt(2),
     sigma2_q <= 8 and the uncertainty relation sigma2_q >= 2*sqrt(2)*b_q,
-    all with slack 1e-12.
+    all with slack 1e-12.  _make and _replace build through the same checks.
     """
 
-    q: float
-    b_q: float
-    sigma2_q: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        q, b, s2 = self.q, self.b_q, self.sigma2_q
+    def __new__(cls, q: float, b_q: float, sigma2_q: float):
+        b, s2 = b_q, sigma2_q
         _check_q(q)
         if not math.isfinite(b) or b < -VALIDATION_TOL or b > B_MAX + VALIDATION_TOL:
             raise BOutOfRange(f"b_q={b} outside [0, 2*sqrt(2)={B_MAX:.7f}]")
@@ -109,6 +106,11 @@ class ConstraintSet:
                 f"uncertainty relation sigma2_q >= 2*sqrt(2)*b_q violated: "
                 f"{s2} < {B_MAX * b:.7g}"
             )
+        return super().__new__(cls, q, b_q, sigma2_q)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def validate_constraints(q: float, b: float, s2: float) -> ConstraintSet:
@@ -116,8 +118,7 @@ def validate_constraints(q: float, b: float, s2: float) -> ConstraintSet:
     return ConstraintSet(q=float(q), b_q=float(b), sigma2_q=float(s2))
 
 
-@dataclass(frozen=True)
-class EscortWeights:
+class EscortWeights(NamedTuple):
     """Escort distribution of the optimal spectrum; w_zero is doubly occupied."""
 
     w_plus: float
@@ -150,8 +151,7 @@ def escort_weights(c: ConstraintSet) -> EscortWeights:
     )
 
 
-@dataclass(frozen=True)
-class InferredState:
+class InferredState(NamedTuple):
     """Bell-diagonal maximum-entropy state.
 
     eig_phi_plus, eig_psi_minus and the doubly degenerate eig_deg are the
@@ -219,8 +219,7 @@ def infer_state(c: ConstraintSet) -> InferredState:
     )
 
 
-@dataclass(frozen=True)
-class SpectrumBatch:
+class SpectrumBatch(NamedTuple):
     """The validation mask and infer_state's lambda_max at one q; NaN where infeasible."""
 
     feasible: np.ndarray
@@ -259,8 +258,7 @@ def infer_spectra(q: float, b_q, sigma2_q) -> SpectrumBatch:
     return SpectrumBatch(feasible, lambda_max)
 
 
-@dataclass(frozen=True)
-class MuFactors:
+class MuFactors(NamedTuple):
     """Bracket values of the fixed-point form on the three distinct slots.
 
     They satisfy mu_pm**(1/(1-q)) = (w_mp * Z_q)**(1/q) with the slot
@@ -290,8 +288,7 @@ def mu_factors(s: InferredState) -> MuFactors:
     return MuFactors(*map(mu, w[2::-1]))
 
 
-@dataclass(frozen=True)
-class Multipliers:
+class Multipliers(NamedTuple):
     lambda_1: float
     lambda_2: float
 
@@ -323,7 +320,7 @@ def _multipliers(c: ConstraintSet, w: EscortWeights, c_q: float, ln_wz: float):
             "Lagrange multipliers diverge: data sit on the boundary of the domain "
             f"(weights {w.as_tuple()[:3]}, sigma2_q={c.sigma2_q})"
         )
-    q, b, s2 = c.q, c.b_q, c.sigma2_q
+    q, b, s2 = c
     beta = b / B_MAX
     e = (1.0 - q) / q
     top = math.log(max(w.w_plus, w.w_minus, w.w_zero))
@@ -346,9 +343,8 @@ def fixed_point_residual(s: InferredState, m: Multipliers) -> float:
     certifies Z_q.  Where c_q (and with it the multipliers) is below the
     normal float range, as for large q, :class:`FloatRangeExceeded` is raised.
     """
-    c = s.constraints
-    q, b, s2 = c.q, c.b_q, c.sigma2_q
-    l1, l2 = m.lambda_1, m.lambda_2
+    q, b, s2 = s.constraints
+    l1, l2 = m
     if not (math.isfinite(l1) and math.isfinite(l2)):
         raise BoundaryDivergence("multipliers are not finite")
     if s.c_q < sys.float_info.min:

@@ -8,7 +8,7 @@ is independent of the entropic index q used for inference; the CLI defaults it t
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     FloatRangeExceeded,
@@ -58,11 +58,11 @@ def q_expectation(rho, obs, q: float) -> float:
     import numpy as np
     if not q > 0.0:
         raise QOutOfDomain(f"entropic index must satisfy q > 0, got q={q}")
-    o = as_matrix(obs)
+    a = as_matrix(rho)
+    o = as_matrix(obs, dim=a.shape[0])
     if not np.abs(o - o.conj().T).max() <= HERMITIAN_TOL:
         raise NotHermitian("observable is not Hermitian to 1e-10")
-    spec = validate_density_matrix(rho)
-    lam, vec = spec.eigenvalues, spec.eigenvectors
+    lam, vec = validate_density_matrix(a)
     lam_q = (lam / lam.max()) ** q  # scaled by the top eigenvalue: lam ** q underflows at large q
     diag = np.real(np.einsum("ij,jk,ki->i", vec.conj().T, o, vec))
     return float((lam_q * diag).sum() / lam_q.sum())
@@ -116,8 +116,7 @@ def marginals(rho_ab):
     return partial_trace(rho, "B"), partial_trace(rho, "A")
 
 
-@dataclass(frozen=True)
-class MutualEntropyResult:
+class MutualEntropyResult(NamedTuple):
     value: float
 
 

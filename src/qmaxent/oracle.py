@@ -24,8 +24,7 @@ Two routes that search for the maximizer the closed form writes down:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExhausted
 from .bell import B_MAX, chsh_operator
@@ -53,8 +52,7 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """An oracle's state; ``eigenvalues`` is ``spectrum`` as an array, built on each read."""
 
     spectrum: tuple[float, ...]

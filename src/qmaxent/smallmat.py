@@ -7,8 +7,7 @@ All functions are pure and never mutate their arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionError, NotHermitian
 
@@ -41,7 +40,14 @@ def _checked_eigh(a, tol: float, what: str):
     return np.linalg.eigh(0.5 * (a + ah))
 
 
-def _density_spectra(a):
+class Spectrum(NamedTuple):
+    """Full spectral decomposition, eigenvalues ascending, eigenvectors as columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def _density_spectra(a) -> Spectrum:
     """validate_density_matrix on a coerced matrix or stack, one check and ``eigh`` for all."""
     values, vectors = _checked_eigh(a, DM_TOL, "density matrix")
     tr = a.trace(axis1=-2, axis2=-1)
@@ -49,7 +55,7 @@ def _density_spectra(a):
         raise ValueError(f"density matrix trace {tr} is not 1 to 1e-12")
     if values.min() < -DM_TOL:
         raise ValueError("density matrix has an eigenvalue below -1e-12")
-    return values.clip(0.0), vectors
+    return Spectrum(values.clip(0.0), vectors)
 
 
 def validate_density_matrix(rho) -> Spectrum:
@@ -59,15 +65,7 @@ def validate_density_matrix(rho) -> Spectrum:
     smallest eigenvalue.  Returns the spectrum of the coerced array, taken
     as ``hermitian_eigen`` takes it, with its eigenvalues clipped at 0.
     """
-    return Spectrum(*_density_spectra(as_matrix(rho)))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Full spectral decomposition, eigenvalues ascending, eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    return _density_spectra(as_matrix(rho))
 
 
 def kron(a, b) -> np.ndarray:

@@ -11,8 +11,7 @@ dF = b_q dlambda_1 + sigma2_q dlambda_2 along a short feasible path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConstraintError, StencilOutOfDomain
 from .bell import B_MAX
@@ -42,8 +41,7 @@ def entropy_of_state(s: InferredState) -> float:
     return qexpm1(math.log(s.Z_q), 1.0 - s.q)
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+class ThermoPoint(NamedTuple):
     S_q: float
     F_q: float
     multipliers: Multipliers
@@ -62,8 +60,7 @@ def _free_energy(c, w, c_q, ln_wz, entropy):
     return lam1 * c.b_q + lam2 * c.sigma2_q - entropy, lam1, lam2
 
 
-@dataclass(frozen=True)
-class LegendreReport:
+class LegendreReport(NamedTuple):
     dS_db_fd: float
     dS_dsigma2_fd: float
     lambda_1: float
@@ -98,7 +95,7 @@ def legendre_report(c: ConstraintSet, h: float = 1e-5) -> LegendreReport:
     """
     if not 1e-8 <= h <= 1e-3:
         raise ValueError(f"finite-difference step must lie in [1e-8, 1e-3], got {h}")
-    q, b, s2 = c.q, c.b_q, c.sigma2_q
+    q, b, s2 = c
     centre = _free_energy(*_point(q, b, s2))
     _, lam1, lam2 = centre
     s_bp, s_bm, s_sp, s_sm = [_point(q, b + db, s2 + ds)[4]
@@ -120,8 +117,7 @@ def legendre_report(c: ConstraintSet, h: float = 1e-5) -> LegendreReport:
         rel_err_2=abs(d_s_ds2 - lam2) / max(abs(lam2), 1e-12), path_residual=residual)
 
 
-@dataclass(frozen=True)
-class PurificationPath:
+class PurificationPath(NamedTuple):
     """Samples along the minimum-uncertainty line toward the pure corner."""
 
     t: np.ndarray

@@ -189,6 +189,14 @@ class TestUsageErrors:
         assert cli.run(argv) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("oracle", ["split", "general"])
+    def test_negative_seed(self, oracle, capsys):
+        assert cli.run(["verify", "--q", "0.5", "--b", "1", "--sigma2", "6",
+                        "--oracle", oracle, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be non-negative, got -1\n"
+
     def test_grid_above_the_block_size(self, tmp_path, capsys):
         target = tmp_path / "never.csv"
         assert cli.run(["scan", "--q", "2", "--grid", "32769", "--out", str(target)]) == 2

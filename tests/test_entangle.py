@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 import tracemalloc
@@ -218,7 +217,7 @@ class TestKernelAgainstScalarPath:
         assert cells.size >= values.size
         lam = g.lambda_max.copy()
         lam[cells] = np.resize(values, cells.size)
-        forced = dataclasses.replace(g, lambda_max=lam)
+        forced = g._replace(lambda_max=lam)
         assert np.isnan(forced.lambda_max[~forced.feasible]).all()
 
         formatted = []

@@ -1,7 +1,9 @@
 """Each subcommand imports only what it runs, checked in a fresh interpreter.
 
 numpy and scipy cost far more to import than the closed form costs to
-evaluate, so the scalar subcommands must not load them.
+evaluate, so the scalar subcommands must not load them.  The package's records
+are tuples, so only scipy loads dataclasses; inspect, which dataclasses imports,
+comes with numpy too.
 """
 
 import json
@@ -13,13 +15,15 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("numpy", "scipy", "scipy.optimize")
-#: runs one CLI invocation, then prints its exit code and which of HEAVY it loaded
+PROBED = ("numpy", "scipy", "scipy.optimize", "dataclasses", "inspect")
+#: absent after a subcommand that runs without numpy, which imports inspect itself
+SCALAR = ("numpy", "scipy", "dataclasses", "inspect")
+#: runs one CLI invocation, then prints its exit code and which of PROBED it loaded
 PROBE = f"""
 import json, sys
 import qmaxent.cli
 code = qmaxent.cli.run(sys.argv[1:])
-print(json.dumps({{"code": code, "loaded": [m for m in {HEAVY!r} if m in sys.modules]}}))
+print(json.dumps({{"code": code, "loaded": [m for m in {PROBED!r} if m in sys.modules]}}))
 """
 DATA = ["--q", "2", "--b", "1.4142136", "--sigma2", "6"]
 
@@ -32,12 +36,12 @@ def run_fresh(argv):
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["infer", *DATA], ("numpy", "scipy")),
-    (["thermo", *DATA], ("numpy", "scipy")),
-    (["mutual", *DATA], ("scipy",)),
-    (["verify", *DATA], ("numpy", "scipy")),
-    (["verify", *DATA, "--json"], ("numpy", "scipy")),
-    (["scan", "--q", "2", "--grid", "2"], ("scipy",)),
+    (["infer", *DATA], SCALAR),
+    (["thermo", *DATA], SCALAR),
+    (["mutual", *DATA], ("scipy", "dataclasses")),
+    (["verify", *DATA], SCALAR),
+    (["verify", *DATA, "--json"], SCALAR),
+    (["scan", "--q", "2", "--grid", "2"], ("scipy", "dataclasses")),
 ], ids=["infer", "thermo", "mutual", "verify-split", "verify-split-json", "scan"])
 def test_subcommand_leaves_heavy_modules_unloaded(argv, absent):
     result = run_fresh(argv)

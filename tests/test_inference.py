@@ -17,6 +17,7 @@ from qmaxent.errors import (
     UncertaintyViolated,
 )
 from qmaxent.inference import (
+    ConstraintSet,
     InferredState,
     Multipliers,
     escort_weights,
@@ -131,6 +132,27 @@ class TestValidation:
     def test_closed_inequalities_have_tolerance(self):
         validate_constraints(2.0, B_MAX + 1e-13, 8.0 + 1e-13)
         validate_constraints(2.0, 1.0, B_MAX * 1.0 - 1e-13)
+
+    @pytest.mark.parametrize("data, error", [
+        ((0.0, 1.0, 6.0), QOutOfDomain),
+        ((2.0, 3.0, 8.0), BOutOfRange),
+        ((2.0, 1.0, 9.0), SigmaOutOfRange),
+        ((2.0, 1.4142136, 3.0), UncertaintyViolated),
+    ], ids=["q", "b", "sigma2", "uncertainty"])
+    def test_every_way_of_building_a_set_validates(self, data, error):
+        """Direct construction, _make and _replace raise what validate_constraints raises."""
+        with pytest.raises(error) as expected:
+            validate_constraints(*data)
+        valid = validate_constraints(2.0, 1.0, 6.0)
+        for build in (lambda: ConstraintSet(*data),
+                      lambda: ConstraintSet._make(data),
+                      lambda: valid._replace(**dict(zip(valid._fields, data)))):
+            with pytest.raises(error) as raised:
+                build()
+            assert type(raised.value) is error
+            assert str(raised.value) == str(expected.value)
+        with pytest.raises(BOutOfRange):
+            valid._replace(b_q=99.0)
 
 
 class TestEscortWeights:

@@ -208,6 +208,8 @@ class TestDivergenceErrors:
         for rho, ref in ((I4 / 4, np.eye(2) / 2), (np.eye(2) / 2, I4 / 4)):
             with pytest.raises(DimensionError):
                 generalized_kl(rho, ref, 2.0)
+            with pytest.raises(DimensionError):
+                q_expectation(rho, ref, 2.0)
 
     def test_hermiticity_is_checked_on_both_states_first(self):
         # the two states are checked as one stack: Hermiticity, then trace, then PSD

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -129,7 +128,7 @@ class TestLegendreReport:
             )
 
         def bits(report):
-            return [x.hex() for x in dataclasses.astuple(report)]
+            return [x.hex() for x in tuple(report)]
 
         gen = random.Random(20261019)
         checked = 0
