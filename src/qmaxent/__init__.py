@@ -2,7 +2,7 @@
 
 numpy is imported inside the functions that build arrays, and scipy only inside
 the general oracle's solver call, so the scalar closed form and the CLI commands
-built on it (``infer``, ``thermo`` and split ``verify``) load neither;
+built on it (``infer``, ``mutual``, ``thermo`` and split ``verify``) load neither;
 ``tests/test_imports.py`` checks this.
 """
 
@@ -61,6 +61,7 @@ from .measures import (
     marginals,
     mutual_entropy,
     mutual_entropy_closed_form,
+    mutual_entropy_of_state,
     q_expectation,
     tsallis_entropy,
 )

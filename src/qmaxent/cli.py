@@ -24,7 +24,8 @@ from .inference import (
     to_density_matrix,
     validate_constraints,
 )
-from .measures import mutual_entropy, mutual_entropy_closed_form
+# mutual_entropy and to_density_matrix go unused here, but perfbench/tracing.py wraps them by name
+from .measures import mutual_entropy, mutual_entropy_closed_form, mutual_entropy_of_state
 from .oracle import compare_states, maxent_general_oracle, maxent_split_oracle
 from .thermo import entropy_of_state, legendre_report
 
@@ -211,9 +212,8 @@ def _cmd_scan(args) -> int:
 def _cmd_mutual(args) -> int:
     qprime = args.qprime if args.qprime is not None else args.q
     state = infer_state(validate_constraints(args.q, args.b, args.sigma2))
-    result = mutual_entropy(to_density_matrix(state), qprime)
     payload = {
-        "K_qprime": result.value,
+        "K_qprime": mutual_entropy_of_state(state, qprime),
         "closed_form": mutual_entropy_closed_form(state, qprime),
         "b_q": args.b,
         "q": args.q,

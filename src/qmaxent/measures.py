@@ -22,6 +22,7 @@ from .smallmat import (
     HERMITIAN_TOL,
     SUPPORT_TOL,
     _density_spectra,
+    _jacobi_eigh,
     as_matrix,
     kron,
     partial_trace,
@@ -90,23 +91,28 @@ def generalized_kl(rho, ref, q_prime: float) -> float:
         raise QOutOfDomain(f"divergence order must satisfy q' > 0, got {q_prime}")
     a = as_matrix(rho)
     (lam, mu), (vec, wec) = _density_spectra(np.array((a, as_matrix(ref, dim=a.shape[0]))))
-    own, ref_own = lam > 0.0, mu > SUPPORT_TOL
+    own, support = lam > 0.0, mu > SUPPORT_TOL
+    overlap = np.abs(vec[:, own].conj().T @ wec) ** 2  # |<v_i|w_j>|**2 over lam_i > 0
+    if not support.all():  # BLAS rounds a product by its column count: keep the support's own
+        overlap[:, support] = np.abs(vec[:, own].conj().T @ wec[:, support]) ** 2
+    return _kl_sum(lam[own].tolist(), mu.tolist(), overlap.tolist(), q_prime)
 
-    def overlap(cols):  # |<v_i|w_j>|**2 over lam_i > 0 and the reference columns cols
-        return np.abs(vec[:, own].conj().T @ wec[:, cols]) ** 2
 
+def _kl_sum(lam, mu, overlap, q_prime: float) -> float:
+    """generalized_kl's checks and sum on lists: lam_i > 0, mu_j and rows of |<v_i|w_j>|**2."""
     if q_prime > 1.0:
-        if mu.min() <= SUPPORT_TOL:
+        if min(mu) <= SUPPORT_TOL:
             raise SingularReference(
-                f"reference state is singular (min eigenvalue {mu.min():.3g}) "
+                f"reference state is singular (min eigenvalue {min(mu):.3g}) "
                 f"but q'={q_prime} > 1 needs a negative power of it"
             )
-    elif lam[own] @ overlap(~ref_own).sum(axis=1) > SUPPORT_TOL:  # mass outside ref's support
+    elif sum(x * sum(o for o, m in zip(row, mu) if m <= SUPPORT_TOL)
+             for x, row in zip(lam, overlap)) > SUPPORT_TOL:  # mass outside ref's support
         raise SupportMismatch("state support is not contained in the reference support")
-    ln_mu = [math.log(m) for m in mu[ref_own].tolist()]
-    return _finite_sum((o * qexpm1_scaled(x, math.log(x) - b, q_prime - 1.0)
-                        for x, row in zip(lam[own].tolist(), overlap(ref_own).tolist())
-                        for o, b in zip(row, ln_mu)), q_prime)
+    ln_mu = [(j, math.log(m)) for j, m in enumerate(mu) if m > SUPPORT_TOL]
+    rows = ((x, math.log(x), row) for x, row in zip(lam, overlap))  # one log per row
+    return _finite_sum((row[j] * qexpm1_scaled(x, ln_x - b, q_prime - 1.0)
+                        for x, ln_x, row in rows for j, b in ln_mu), q_prime)
 
 
 def marginals(rho_ab):
@@ -124,6 +130,27 @@ def mutual_entropy(rho_ab, q_prime: float) -> MutualEntropyResult:
     """Generalized mutual entropy: divergence from the product of marginals."""
     ref = kron(partial_trace(rho_ab, "B"), partial_trace(rho_ab, "A"))
     return MutualEntropyResult(value=generalized_kl(rho_ab, ref, q_prime))
+
+
+def mutual_entropy_of_state(state: InferredState, q_prime: float) -> float:
+    """mutual_entropy(to_density_matrix(state), q_prime).value on Python floats.
+
+    A generic Jacobi solver diagonalises the state and the product of its marginals,
+    so this stays a check of the closed form.
+    """
+    if not q_prime > 0.0:
+        raise QOutOfDomain(f"divergence order must satisfy q' > 0, got {q_prime}")
+    p, m, d = state.eig_phi_plus, state.eig_psi_minus, state.eig_deg
+    x, y, z, w = (p + d) / 2, (p - d) / 2, (d + m) / 2, (d - m) / 2  # exact at a pure state
+    rho = [[x, 0.0, 0.0, y], [0.0, z, w, 0.0], [0.0, w, z, 0.0], [y, 0.0, 0.0, x]]
+    tr_b = [[rho[2 * i][2 * j] + rho[2 * i + 1][2 * j + 1] for j in (0, 1)] for i in (0, 1)]
+    tr_a = [[rho[i][j] + rho[i + 2][j + 2] for j in (0, 1)] for i in (0, 1)]
+    ref = [[tr_b[i // 2][j // 2] * tr_a[i % 2][j % 2] for j in range(4)] for i in range(4)]
+    (lam, vec), (mu, wec) = _jacobi_eigh(rho), _jacobi_eigh(ref)
+    own = [i for i in range(4) if lam[i] > 0.0]
+    overlap = [[sum(vec[k][i] * wec[k][j] for k in range(4)) ** 2 for j in range(4)] for i in own]
+    # rows scaled to unit sum: each rotation leaves the eigenvectors' norms an ulp off
+    return _kl_sum([lam[i] for i in own], mu, [[o / sum(r) for o in r] for r in overlap], q_prime)
 
 
 def mutual_entropy_closed_form(state: InferredState, q_prime: float) -> float:

@@ -1,12 +1,14 @@
 """Dense complex linear algebra for 2x2 and 4x4 operators.
 
 Everything a two-qubit problem needs and nothing more: Kronecker products,
-partial trace and partial transpose, and Hermitian eigendecompositions.
-All functions are pure and never mutate their arguments.
+partial trace and partial transpose, and Hermitian eigendecompositions
+(LAPACK on arrays, Jacobi on real symmetric lists).  All functions are pure
+and never mutate their arguments.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionError, NotHermitian
@@ -114,3 +116,29 @@ def hermitian_eigen(m) -> Spectrum:
     by more than 1e-10; smaller deviations are symmetrized away.
     """
     return Spectrum(*_checked_eigh(as_matrix(m), HERMITIAN_TOL, "matrix"))
+
+
+def _jacobi_eigh(m):
+    """Eigenvalues and eigenvector columns of a real symmetric list matrix, by cyclic Jacobi."""
+    n = len(m)
+    a, v = [list(row) for row in m], [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(50):
+        rotated = False
+        for p, r in [(p, r) for p in range(n) for r in range(p + 1, n)]:
+            app, arr, apr = a[p][p], a[r][r], a[p][r]
+            if abs(app) + 100.0 * abs(apr) == abs(app) and abs(arr) + 100.0 * abs(apr) == abs(arr):
+                continue  # too small to move either diagonal entry; a sweep of these ends it
+            rotated, theta = True, (arr - app) / (2.0 * apr)
+            t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            # Rutishauser's update: the diagonal moves by t*apr, not by c*c + s*s = 1 - ulp
+            a[p][p], a[r][r], a[p][r], a[r][p] = app - t * apr, arr + t * apr, 0.0, 0.0
+            for k in range(n):
+                if k != p and k != r:
+                    a[k][p], a[k][r] = c * a[k][p] - s * a[k][r], s * a[k][p] + c * a[k][r]
+                    a[p][k], a[r][k] = a[k][p], a[k][r]
+                v[k][p], v[k][r] = c * v[k][p] - s * v[k][r], s * v[k][p] + c * v[k][r]
+        if not rotated:
+            break
+    return [a[i][i] for i in range(n)], v

@@ -1,9 +1,9 @@
 """Each subcommand imports only what it runs, checked in a fresh interpreter.
 
 numpy and scipy cost far more to import than the closed form costs to
-evaluate, so the scalar subcommands must not load them.  The package's records
-are tuples, so only scipy loads dataclasses; inspect, which dataclasses imports,
-comes with numpy too.
+evaluate, so the per-point subcommands must not load them, on their error
+paths either.  The package's records are tuples, so only scipy loads
+dataclasses; inspect, which dataclasses imports, comes with numpy too.
 """
 
 import json
@@ -35,17 +35,20 @@ def run_fresh(argv):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv, absent", [
-    (["infer", *DATA], SCALAR),
-    (["thermo", *DATA], SCALAR),
-    (["mutual", *DATA], ("scipy", "dataclasses")),
-    (["verify", *DATA], SCALAR),
-    (["verify", *DATA, "--json"], SCALAR),
-    (["scan", "--q", "2", "--grid", "2"], ("scipy", "dataclasses")),
-], ids=["infer", "thermo", "mutual", "verify-split", "verify-split-json", "scan"])
-def test_subcommand_leaves_heavy_modules_unloaded(argv, absent):
+@pytest.mark.parametrize("argv, code, absent", [
+    (["infer", *DATA], 0, SCALAR),
+    (["thermo", *DATA], 0, SCALAR),
+    (["mutual", *DATA], 0, SCALAR),
+    (["mutual", *DATA, "--json", "--qprime", "0.5"], 0, SCALAR),
+    (["mutual", "--q", "2", "--b", "2.8", "--sigma2", "7.99", "--qprime", "600"], 3, SCALAR),
+    (["verify", *DATA], 0, SCALAR),
+    (["verify", *DATA, "--json"], 0, SCALAR),
+    (["scan", "--q", "2", "--grid", "2"], 0, ("scipy", "dataclasses")),
+], ids=["infer", "thermo", "mutual", "mutual-json-qprime", "mutual-float-range",
+        "verify-split", "verify-split-json", "scan"])
+def test_subcommand_leaves_heavy_modules_unloaded(argv, code, absent):
     result = run_fresh(argv)
-    assert result["code"] == 0
+    assert result["code"] == code
     assert not set(absent) & set(result["loaded"])
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from qmaxent.measures import (
     marginals,
     mutual_entropy,
     mutual_entropy_closed_form,
+    mutual_entropy_of_state,
     q_expectation,
     tsallis_entropy,
 )
@@ -122,7 +124,9 @@ class TestQExpectation:
     lambda order: q_expectation(I4 / 4, I4, order),
     lambda order: generalized_kl(I4 / 4, I4 / 4, order),
     lambda order: mutual_entropy_closed_form(inferred(), order),
-], ids=["q_expectation", "generalized_kl", "mutual_entropy_closed_form"])
+    lambda order: mutual_entropy_of_state(inferred(), order),
+], ids=["q_expectation", "generalized_kl", "mutual_entropy_closed_form",
+        "mutual_entropy_of_state"])
 def test_order_zero_or_nan_is_out_of_domain(call, order):
     with pytest.raises(QOutOfDomain):
         call(order)
@@ -299,6 +303,85 @@ class TestMutualEntropy:
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             rotated = u @ rho @ u.conj().T
             assert abs(mutual_entropy(rotated, 2.0).value - base) < 1e-10
+
+
+def seeded_points(seed, n, q_lo, q_hi):
+    """n feasible (q, b, sigma2) drawn uniformly, q in [q_lo, q_hi]."""
+    r = random.Random(seed)
+    points = []
+    while len(points) < n:
+        b, s2 = r.uniform(0.0, B_MAX), r.uniform(0.0, 8.0)
+        if s2 >= B_MAX * b:
+            points.append((r.uniform(q_lo, q_hi), b, s2))
+    return points
+
+
+class TestMutualEntropyOfState:
+    """The Python-float route against the matrix route and the closed form."""
+
+    @pytest.mark.parametrize("q_lo, q_hi", [(0.3, 5.0), (5.0, 20.0)])
+    def test_matches_the_matrix_route_and_the_closed_form(self, q_lo, q_hi):
+        for q, b, s2 in seeded_points(21, 1000, q_lo, q_hi):
+            state = inferred(q, b, s2)
+            floats = mutual_entropy_of_state(state, q)
+            matrix = mutual_entropy(to_density_matrix(state), q).value
+            closed = mutual_entropy_closed_form(state, q)
+            assert f"{floats:.9g}" == f"{matrix:.9g}", (q, b, s2)
+            assert abs(floats - closed) <= 1e-9 and abs(matrix - closed) <= 1e-9, (q, b, s2)
+
+    def test_explicit_orders(self):
+        for q, b, s2 in seeded_points(7, 50, 0.3, 20.0):
+            state = inferred(q, b, s2)
+            for qp in (0.3, 1.0, 2.5, 40.0):
+                closed = mutual_entropy_closed_form(state, qp)
+                assert abs(mutual_entropy_of_state(state, qp) - closed) <= 1e-9 * max(1.0, closed)
+
+    def test_pure_state_is_exact(self):
+        # the matrix entries and the rotated overlaps of a pure Bell state are exact
+        state = inferred(4.0791560137447976e-20, 1.006362305139997, 4.687347012544155)
+        assert state.eig_phi_plus == 1.0
+        assert mutual_entropy_of_state(state, state.constraints.q) == 0.75
+        assert mutual_entropy_of_state(state, 2.0) == 3.0
+
+    def test_large_divergence_order(self):
+        state = inferred(2.0, 1.0, 5.0)
+        closed = mutual_entropy_closed_form(state, 600.0)
+        assert abs(mutual_entropy_of_state(state, 600.0) - closed) <= 1e-9 * closed
+        with pytest.raises(FloatRangeExceeded):
+            mutual_entropy_of_state(inferred(2.0, 2.8, 7.99), 600.0)
+
+
+#: mutual_entropy(to_density_matrix(state), q').value at (q, b, sigma2, q'), pinned by repr
+MUTUAL_PINS = [
+    ((2.0, math.sqrt(2.0), 6.0, 2.0), "0.16718427000252395"),
+    ((0.5, 1.0, 5.0, 0.3), "0.1539788136087183"),
+    ((1.0, 2.0, 7.0, 1.0), "0.6463219515106311"),
+    ((7.5, 0.4, 3.0, 12.0), "0.014312842102489065"),
+    ((0.35, 2.6, 7.9, 0.8), "1.2089829257694453"),
+]
+#: generalized_kl of four seeded random pairs at q' = 0.5, 1, 2, 3, then of a state
+#: against a singular reference holding its support, at q' = 0.5
+KL_PINS = ["0.6877512278143184", "1.2265626104097205", "1.684954026584353",
+           "8699.378886476386", "0.21173455576058572"]
+
+
+class TestLibraryValuesPinned:
+    """The library route's values, bit for bit, at seeded points."""
+
+    @pytest.mark.parametrize("point, pinned", MUTUAL_PINS)
+    def test_mutual_entropy(self, point, pinned):
+        q, b, s2, qp = point
+        assert repr(mutual_entropy(to_density_matrix(inferred(q, b, s2)), qp).value) == pinned
+
+    def test_generalized_kl(self):
+        rng = np.random.default_rng(21)
+        got = [generalized_kl(random_density(rng), random_density(rng), qp)
+               for qp in (0.5, 1.0, 2.0, 3.0)]
+        u = random_unitary(rng, 4)
+        ref = u @ np.diag([0.5, 0.3, 0.2, 0.0]) @ u.conj().T
+        rho = u @ np.diag([0.6, 0.4, 0.0, 0.0]) @ u.conj().T
+        got.append(generalized_kl(rho, ref, 0.5))
+        assert [repr(k) for k in got] == KL_PINS
 
 
 class TestOneDiagonalisationPerMatrix:

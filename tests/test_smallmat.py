@@ -6,6 +6,7 @@ from qmaxent.bell import chsh_operator, chsh_squared, pauli
 from qmaxent.errors import DimensionError, NotHermitian
 from qmaxent.inference import infer_state, to_density_matrix, validate_constraints
 from qmaxent.smallmat import (
+    _jacobi_eigh,
     hermitian_eigen,
     kron,
     partial_trace,
@@ -138,6 +139,41 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def _real_inferred(q, b, s2):
+    return to_density_matrix(infer_state(validate_constraints(q, b, s2))).real
+
+
+class TestJacobiEigh:
+    """The list eigensolver against LAPACK, on random and on degenerate spectra."""
+
+    def check(self, m):
+        w, v = _jacobi_eigh(m.tolist())
+        w, v = np.array(w), np.array(v)
+        scale = max(np.linalg.norm(m, 2), 1e-300)
+        assert np.max(np.abs(v @ np.diag(w) @ v.T - m)) <= 1e-14 * scale
+        assert np.max(np.abs(v.T @ v - np.eye(len(m)))) <= 1e-14
+        assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(m))) <= 1e-14 * scale
+
+    def test_random_symmetric(self, rng):
+        for k in range(1000):
+            a = rng.standard_normal((4, 4) if k % 2 else (2, 2))
+            self.check(0.5 * (a + a.T))
+
+    def test_degenerate_spectra(self, rng):
+        x = rng.standard_normal(4)
+        pure = np.outer(x, x) / (x @ x)
+        bell_diagonal = _real_inferred(0.7, 1.0, 5.0)
+        assert len(np.unique(np.linalg.eigvalsh(bell_diagonal).round(12))) == 3  # with its pair
+        for m in (np.eye(4) / 4, bell_diagonal, PHI_PLUS, pure, np.zeros((4, 4))):
+            self.check(m)
+
+    def test_leaves_its_argument_alone(self):
+        m = _real_inferred(0.7, 1.0, 5.0).tolist()
+        copy = [list(row) for row in m]
+        _jacobi_eigh(m)
+        assert m == copy
 
 
 class TestValidateDensityMatrix:
