@@ -300,34 +300,37 @@ BOUNDARY_TOL = 1e-12
 def lagrange_multipliers(s: InferredState) -> Multipliers:
     """Multipliers conjugate to (b_q, sigma2_q), finite at interior points.
 
-    With e = (1-q)/q, beta = b_q/(2*sqrt(2)) and a_pm = ln(w_mp*Z_q), so mu_pm = exp(e*a_pm),
+    With e = (1-q)/q and the slot factor mu(w) = (w*Z_q)**e of mu_factors,
 
-        lambda_1 = c_q * mu_minus * qexpm1(a_plus - a_minus, e) / (4*sqrt(2)*q)
-        lambda_2 = c_q / ((sigma2_q-8)*q)
-                   * ( (1-beta)/2 * qexpm1(a_plus, e) + (1+beta)/2 * qexpm1(a_minus, e) )
+        lambda_1 = c_q * (mu(w_minus) - mu(w_plus)) / (4*sqrt(2)*(1-q))
+        lambda_2 = c_q * (mu(w_zero) - mu(w_plus)) / (8*(1-q)) - sqrt(2)/4 * lambda_1
 
-    with no pole at q = 1, and each a as (ln w - ln w_max) + ln_wz, accurate as q -> 0, as in
-    mu_factors.  They satisfy lambda_1 = dS/db_q and lambda_2 = dS/dsigma2_q at fixed q.
+    each difference one qexpm1 step from mu(w_plus), with no pole at q = 1.  They satisfy
+    lambda_1 = dS/db_q and lambda_2 = dS/dsigma2_q at fixed q.
     """
     return Multipliers(*_multipliers(s.constraints, s.weights, s.c_q, s.ln_wz))
 
 
 def _multipliers(c: ConstraintSet, w: EscortWeights, c_q: float, ln_wz: float):
     """lagrange_multipliers as (lambda_1, lambda_2) from the state's weights, c_q and ln_wz."""
-    if (min(w.w_plus, w.w_minus, w.w_zero) <= BOUNDARY_TOL
-            or c.sigma2_q >= SIGMA_MAX - BOUNDARY_TOL):
+    if min(w) <= BOUNDARY_TOL:
         raise BoundaryDivergence(
             "Lagrange multipliers diverge: data sit on the boundary of the domain "
-            f"(weights {w.as_tuple()[:3]}, sigma2_q={c.sigma2_q})"
+            f"(weights {tuple(w)}, sigma2_q={c.sigma2_q})"
         )
-    q, b, s2 = c
-    beta = b / B_MAX
+    q = c.q
     e = (1.0 - q) / q
-    top = math.log(max(w.w_plus, w.w_minus, w.w_zero))
+    top = math.log(max(w))
+    # each a = ln(w*Z_q) as (ln w - ln w_max) + ln_wz, accurate as q -> 0, as in mu_factors
     a_plus, a_minus = (math.log(w.w_minus) - top) + ln_wz, (math.log(w.w_plus) - top) + ln_wz
-    lam1 = c_q * math.exp(e * a_minus) * qexpm1(a_plus - a_minus, e) / (2.0 * B_MAX * q)
-    bracket = 0.5 * (1.0 - beta) * qexpm1(a_plus, e) + 0.5 * (1.0 + beta) * qexpm1(a_minus, e)
-    return lam1, c_q * bracket / ((s2 - 8.0) * q)
+    mu_plus = math.exp(e * a_minus)
+    lam1 = c_q * mu_plus * qexpm1(a_plus - a_minus, e) / (2.0 * B_MAX * q)
+    d = math.log(w.w_zero / w.w_plus)
+    if e * d > 0.0:  # factored on the larger mu(w_zero), so that expm1 cannot overflow
+        step = math.exp(e * ((math.log(w.w_zero) - top) + ln_wz)) * qexpm1(d, -e)
+    else:
+        step = mu_plus * qexpm1(d, e)
+    return lam1, -(B_MAX * lam1 / 8.0 - c_q * step / (8.0 * q))
 
 
 def fixed_point_residual(s: InferredState, m: Multipliers) -> float:
