@@ -298,15 +298,13 @@ BOUNDARY_TOL = 1e-12
 
 
 def lagrange_multipliers(s: InferredState) -> Multipliers:
-    """Multipliers conjugate to (b_q, sigma2_q), finite at interior points.
+    """Multipliers dS/db_q and dS/dsigma2_q at fixed q, finite at interior points.
 
-    With e = (1-q)/q and the slot factor mu(w) = (w*Z_q)**e of mu_factors,
+    With e = (1-q)/q and the slot factor mu(w) = (w*Z_q)**e of mu_factors, each difference
+    taken as one qexpm1 step from mu(w_plus), so with no pole at q = 1:
 
         lambda_1 = c_q * (mu(w_minus) - mu(w_plus)) / (4*sqrt(2)*(1-q))
         lambda_2 = c_q * (mu(w_zero) - mu(w_plus)) / (8*(1-q)) - sqrt(2)/4 * lambda_1
-
-    each difference one qexpm1 step from mu(w_plus), with no pole at q = 1.  They satisfy
-    lambda_1 = dS/db_q and lambda_2 = dS/dsigma2_q at fixed q.
     """
     return Multipliers(*_multipliers(s.constraints, s.weights, s.c_q, s.ln_wz))
 
@@ -320,17 +318,16 @@ def _multipliers(c: ConstraintSet, w: EscortWeights, c_q: float, ln_wz: float):
         )
     q = c.q
     e = (1.0 - q) / q
-    top = math.log(max(w))
-    # each a = ln(w*Z_q) as (ln w - ln w_max) + ln_wz, accurate as q -> 0, as in mu_factors
-    a_plus, a_minus = (math.log(w.w_minus) - top) + ln_wz, (math.log(w.w_plus) - top) + ln_wz
-    mu_plus = math.exp(e * a_minus)
-    lam1 = c_q * mu_plus * qexpm1(a_plus - a_minus, e) / (2.0 * B_MAX * q)
     d = math.log(w.w_zero / w.w_plus)
-    if e * d > 0.0:  # factored on the larger mu(w_zero), so that expm1 cannot overflow
-        step = math.exp(e * ((math.log(w.w_zero) - top) + ln_wz)) * qexpm1(d, -e)
-    else:
-        step = mu_plus * qexpm1(d, e)
-    return lam1, -(B_MAX * lam1 / 8.0 - c_q * step / (8.0 * q))
+    # mu(w) = exp(e*ln(w*Z_q)), where ln(w_max*Z_q) = ln_wz keeps its accuracy as q -> 0, as in
+    # mu_factors; w_max is w_zero where d > 0, else w_plus
+    mu = math.exp(e * (ln_wz - d if d > 0.0 else ln_wz))
+    # ln(w_minus/w_plus) from the data: w_plus - w_minus = 2*sqrt(2)*b_q/8 cancels as b_q -> 0
+    g = mu * qexpm1(math.log1p(-B_MAX * max(c.b_q, 0.0) / (8.0 * w.w_plus)), e) / (2.0 * B_MAX * q)
+    # mu(w_zero) - mu(w_plus) over e, factored on mu(w_max) so that expm1 cannot overflow
+    step = math.exp(e * ln_wz) * qexpm1(d, -e) if d > 0.0 else mu * qexpm1(d, e)
+    # c_q multiplies last, so a multiplier that underflows keeps its sign
+    return c_q * g, c_q * (step / (8.0 * q) - B_MAX * g / 8.0)
 
 
 def fixed_point_residual(s: InferredState, m: Multipliers) -> float:
