@@ -301,7 +301,7 @@ def lagrange_multipliers(s: InferredState) -> Multipliers:
     """Multipliers dS/db_q and dS/dsigma2_q at fixed q, finite at interior points.
 
     With e = (1-q)/q and the slot factor mu(w) = (w*Z_q)**e of mu_factors, each difference
-    taken as one qexpm1 step from mu(w_plus), so with no pole at q = 1:
+    taken as one qexpm1 step, so with no pole at q = 1:
 
         lambda_1 = c_q * (mu(w_minus) - mu(w_plus)) / (4*sqrt(2)*(1-q))
         lambda_2 = c_q * (mu(w_zero) - mu(w_plus)) / (8*(1-q)) - sqrt(2)/4 * lambda_1

@@ -7,9 +7,9 @@ Nothing here calls qmaxent.  The escort weights are linear in the data,
     w_zero  = (8 - sigma2_q) / 16        (twice: phi_minus and psi_plus)
 
 the optimal spectrum is lambda_i = w_i**(1/q) / Y with Y = sum_i w_i**(1/q),
-c_q = Tr rho**q = Y**(-q) = Z_q**(1-q) and S_q = (c_q - 1)/(1 - q).  The
-multipliers are the gradient of S_q in the data; by the chain rule through
-c_q = Y**(-q), with e = (1-q)/q,
+lambda_max is its largest eigenvalue, c_q = Tr rho**q = Y**(-q) = Z_q**(1-q) and
+S_q = (c_q - 1)/(1 - q).  The multipliers are the gradient of S_q in the data; by the
+chain rule through c_q = Y**(-q), with e = (1-q)/q,
 
     lambda_1 = -(c_q/Y) * (2*sqrt(2)/16) * (w_plus**e - w_minus**e) / (1-q)
     lambda_2 = -(c_q/Y) * (1/16) * (w_plus**e + w_minus**e - 2*w_zero**e) / (1-q)
@@ -38,6 +38,7 @@ class Reference:
     c: Decimal
     lambda_1: Decimal
     lambda_2: Decimal
+    lambda_max: Decimal
 
 
 def _power(x: Decimal, p: Decimal) -> Decimal:
@@ -55,7 +56,8 @@ def closed_form(q: float, b: float, s2: float) -> Reference:
             s = -sum(w * w.ln() for w in (w_plus, w_minus, w_zero, w_zero))
             lam1 = -slope / 16 * (w_plus.ln() - w_minus.ln())
             lam2 = -(w_plus.ln() + w_minus.ln() - 2 * w_zero.ln()) / 16
-            return Reference(ln_Z=+s, S=+s, c=Decimal(1), lambda_1=+lam1, lambda_2=+lam2)
+            return Reference(ln_Z=+s, S=+s, c=Decimal(1), lambda_1=+lam1, lambda_2=+lam2,
+                             lambda_max=max(w_plus, w_zero))
         logs = [w.ln() for w in (w_plus, w_minus, w_zero, w_zero)]
         shifted = [(x - max(logs)) / q for x in logs]
         ln_norm = sum(x.exp() for x in shifted).ln()
@@ -65,7 +67,7 @@ def closed_form(q: float, b: float, s2: float) -> Reference:
         lam1 = -c * c * slope / 16 * (p_plus - p_minus) / (1 - q)
         lam2 = -c * c / 16 * (p_plus + p_minus - 2 * p_zero) / (1 - q)
         return Reference(ln_Z=c.ln() / (1 - q), S=(c - 1) / (1 - q), c=c,
-                         lambda_1=lam1, lambda_2=lam2)
+                         lambda_1=lam1, lambda_2=lam2, lambda_max=max(ln_lam).exp())
 
 
 def mutual_entropy(q: float, b: float, s2: float, q_prime: float) -> Decimal:
