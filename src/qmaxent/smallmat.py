@@ -82,29 +82,28 @@ def kron(a, b) -> np.ndarray:
     return outer.transpose(0, 2, 1, 3).reshape(4, 4)
 
 
+def _qubit_axes(m, subsystem: str):
+    """A 4x4 operator as its (2, 2, 2, 2) view, and the row axis k of the named qubit."""
+    a = as_matrix(m, dim=4).reshape(2, 2, 2, 2)
+    if subsystem not in ("A", "B"):
+        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    return a, "AB".index(subsystem)
+
+
 def partial_trace(m, subsystem: str) -> np.ndarray:
     """Trace out one qubit of a 4x4 operator.
 
     ``subsystem`` names the qubit that is removed: ``"B"`` returns the
     reduced operator of A and vice versa.  The trace is preserved.
     """
-    import numpy as np
-    a = as_matrix(m, dim=4).reshape(2, 2, 2, 2)
-    if subsystem == "B":
-        return np.einsum("ibjb->ij", a)
-    if subsystem == "A":
-        return np.einsum("aiaj->ij", a)
-    raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    a, k = _qubit_axes(m, subsystem)
+    return a.trace(axis1=k, axis2=k + 2)
 
 
 def partial_transpose(m, subsystem: str = "B") -> np.ndarray:
     """Transpose the indices of one qubit only.  Involutive."""
-    a = as_matrix(m, dim=4).reshape(2, 2, 2, 2)
-    if subsystem == "B":
-        return a.transpose(0, 3, 2, 1).reshape(4, 4)
-    if subsystem == "A":
-        return a.transpose(2, 1, 0, 3).reshape(4, 4)
-    raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    a, k = _qubit_axes(m, subsystem)
+    return a.swapaxes(k, k + 2).reshape(4, 4)
 
 
 def hermitian_eigen(m) -> Spectrum:
