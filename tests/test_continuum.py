@@ -19,10 +19,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import SCAN_QS
+from conftest import B_MAX, SCAN_QS
 from qmaxent.entangle import MARGIN_TOL, area_fraction, scan_region
 
-B_MAX = 2.0 * math.sqrt(2.0)
 #: the raster's entangled fraction lies within this many cell widths of the continuum one;
 #: fixed once, never to be raised: the worst case at the six q and n = 100, 400, 1000 was 1.97
 C_RASTER = 2.5

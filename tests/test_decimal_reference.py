@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import qmaxent.cli as cli
+from conftest import B_MAX
 from decimal_reference import closed_form
 from qmaxent.inference import infer_state, lagrange_multipliers, validate_constraints
 from qmaxent.thermo import entropy_of_state
@@ -48,7 +49,6 @@ def test_reference_reproduces_the_frozen_baseline():
 #: moves of b_q and sigma2_q.  Fixed once, never to be raised: over 8085 seeded edge points
 #: the worst case was 2.33, lambda_1 and lambda_2 at the uncertainty edge
 K_SPREAD = 4.0
-B_MAX = 2.0 * math.sqrt(2.0)
 EDGES = ("sigma2", "uncertainty", "b")
 
 
