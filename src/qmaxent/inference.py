@@ -48,8 +48,6 @@ if TYPE_CHECKING:
 
 #: closed inequalities in the data domain are enforced with this slack
 VALIDATION_TOL = 1e-12
-#: floating-point dust from boundary data smaller than this is clamped away
-CLAMP_TOL = 1e-13
 SIGMA_MAX = 8.0
 
 
@@ -132,16 +130,15 @@ class EscortWeights(NamedTuple):
 def _clamp01(w: float) -> float:
     if w < 0.0:
         return 0.0
-    if 1.0 < w < 1.0 + CLAMP_TOL:
-        return 1.0
-    return w
+    return 1.0 if w > 1.0 else w
 
 
 def escort_weights(c: ConstraintSet) -> EscortWeights:
     """Escort weights of the optimal state, linear in the data.
 
     Every negative weight, which boundary data (sigma2_q = 2*sqrt(2)*b_q or sigma2_q = 8)
-    reach within the 1e-12 validation slack, is clamped to exact zero, as is negative b_q dust.
+    reach within the 1e-12 validation slack, is clamped to exact zero, as is negative b_q dust,
+    and a w_plus the slack lifts above 1 is clamped to exact one.
     """
     t = B_MAX * max(c.b_q, 0.0)
     return EscortWeights(
@@ -243,9 +240,8 @@ def infer_spectra(q: float, b_q, sigma2_q) -> SpectrumBatch:
     s2, t = s2[feasible], B_MAX * np.maximum(b[feasible], 0.0)
     w = np.stack([(s2 + t) / 16.0, (s2 - t) / 16.0, (8.0 - s2) / 16.0])
     # every non-positive weight has root 0, as in escort_map; validation lets s2 - t reach
-    # -VALIDATION_TOL, so a feasible cell's weight can lie below -CLAMP_TOL
-    np.maximum(w, 0.0, out=w)
-    w[(w > 1.0) & (w < 1.0 + CLAMP_TOL)] = 1.0
+    # -VALIDATION_TOL and w_plus pass 1 by about 2e-13, so each weight is clamped into [0, 1]
+    np.clip(w, 0.0, 1.0, out=w)
     # the roots, formed in w's buffer: ln 0 = -inf off the support, and ln w / q overflows
     # at tiny q; max(x / q) = max(x) / q, as division by q > 0 keeps the order
     with np.errstate(divide="ignore", over="ignore"):

@@ -53,13 +53,17 @@ def minimize(*args, **kwargs):
 
 
 class OracleResult(NamedTuple):
-    """An oracle's state; ``eigenvalues`` is ``spectrum`` as an array, built on each read."""
+    """An oracle's state; ``eigenvalues`` is ``spectrum`` as an array, built on each read.
+
+    ``reached`` is the general oracle's escort data (Tr P B, Tr P B^2) at its state, else None.
+    """
 
     spectrum: tuple[float, ...]
     achieved_entropy: float
     constraint_residual: float
     iterations: int
     t_split: float | None = None
+    reached: tuple[float, float] | None = None
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -266,6 +270,7 @@ def maxent_general_oracle(c: ConstraintSet, seed: int, budget: int = 6000) -> Or
                 achieved_entropy=entropy,
                 constraint_residual=residual,
                 iterations=evaluations,
+                reached=tuple(escorts.tolist()),
             )
         if np.array_equal(x, x_prev):
             raise exhausted()

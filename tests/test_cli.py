@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -42,6 +43,15 @@ class TestInfer:
     def test_pure_corner_entropy_is_positive_zero(self, capsys):
         assert cli.run(["infer", "--q", "2", "--b", "2.8284271247461903", "--sigma2", "8"]) == 0
         assert "S_q = 0\n" in capsys.readouterr().out
+
+    def test_slack_above_the_pure_corner_is_pure(self, capsys):
+        # both data lie inside the validation slack, so w_plus = 1 + 1.86e-13 is clamped to 1;
+        # it printed S_q = -1.86073379e-13
+        for q in ("0.5", "2", "5"):
+            assert cli.run(["infer", "--q", q, "--b", "2.8284271247468924",
+                            "--sigma2", "8.00000000000099"]) == 0
+            out = capsys.readouterr().out
+            assert "S_q = 0\n" in out and "Z_q = 1\n" in out and "c_q = 1\n" in out
 
     def test_domain_error_names_the_inequality(self, capsys):
         code = cli.run(["infer", "--q", "2", "--b", "1.4142136", "--sigma2", "3"])
@@ -403,8 +413,6 @@ class TestVerify:
         assert cli.run(["verify", "--q", "0.0040251185622748546", "--b", "0.547378247400302",
                         "--sigma2", "1.548219482443045"]) == 0
 
-    @pytest.mark.xfail(strict=True, reason="a constraint residual r becomes an eigenvalue of "
-                       "order r**(1/q) at the pure corner: entropy excess 1.39e-4 at q = 3")
     def test_general_oracle_passes_at_the_pure_corner(self):
         assert cli.run(["verify", "--q", "3", "--b", "2.8284271247461903", "--sigma2", "8",
                         "--oracle", "general"]) == 0
@@ -433,6 +441,56 @@ class TestVerify:
         code = cli.run(["verify", "--q", "2", "--b", "1", "--sigma2", "6",
                         "--oracle", "general"])
         assert code == 4
+
+    def test_general_oracle_is_judged_at_the_reached_data(self, capsys, monkeypatch):
+        # S_q is even in b, so a reached b of -1e-9 is judged at b = 1e-9, not rejected
+        state = cli.infer_state(cli.validate_constraints(2.0, 0.0, 4.0))
+        reached = OracleResult(spectrum=tuple(sorted(state.eigenvalues())),
+                               achieved_entropy=cli.entropy_of_state(state),
+                               constraint_residual=1e-9, iterations=1000, reached=(-1e-9, 4.0))
+        monkeypatch.setattr(cli, "maxent_general_oracle", lambda c, **kw: reached)
+        assert cli.run(["verify", "--q", "2", "--b", "0", "--sigma2", "4",
+                        "--oracle", "general"]) == 0
+        assert "passed = true\n" in capsys.readouterr().out
+
+
+class TestFrontDoor:
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        cli._parser.cache_clear()
+        assert cli.run(["infer", "--q", "2", "--b", "1.4142136", "--sigma2", "6"]) == 0
+        assert cli.run(["scan", "--q", "2", "--grid", "4", "--out", str(tmp_path / "r.csv")]) == 0
+        assert cli.run(["verify", "--q", "2", "--b", "1.4142136", "--sigma2", "6"]) == 0
+        assert cli._parser.cache_info().misses == 1
+
+    def test_verify_failure_prints_payload_and_one_line(self, capsys, monkeypatch):
+        bogus = OracleResult(spectrum=(0.7, 0.1, 0.1, 0.1), achieved_entropy=0.9,
+                             constraint_residual=0.0, iterations=1, t_split=0.0)
+        monkeypatch.setattr(cli, "maxent_split_oracle", lambda c, **kw: bogus)
+        assert cli.run(["verify", "--q", "2", "--b", "1.4142136", "--sigma2", "6"]) == 4
+        captured = capsys.readouterr()
+        assert "passed = false\n" in captured.out
+        assert re.fullmatch(r"verify failed: spectrum mismatch \S+ exceeds 1e-07\n", captured.err)
+
+    def test_budget_exhaustion_prints_only_the_failure(self, capsys, monkeypatch):
+        from qmaxent.errors import BudgetExhausted
+
+        def explode(c, **kw):
+            raise BudgetExhausted("no solve ended in budget")
+
+        monkeypatch.setattr(cli, "maxent_general_oracle", explode)
+        assert cli.run(["verify", "--q", "2", "--b", "1", "--sigma2", "6",
+                        "--oracle", "general"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verify failed: no solve ended in budget\n"
+
+    @pytest.mark.parametrize("command", ["infer", "mutual", "thermo", "verify"])
+    def test_domain_error_leaves_no_file(self, command, tmp_path, capsys):
+        target = tmp_path / "never.txt"
+        assert cli.run([command, "--q", "2", "--b", "1.4142136", "--sigma2", "3",
+                        "--out", str(target)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.exists()
 
 
 class TestDeterminism:

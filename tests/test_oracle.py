@@ -269,6 +269,13 @@ class TestResultType:
             assert compare_states(as_array, result) == 0.0
             assert escort_residual(result.spectrum, c) == escort_residual(result.eigenvalues, c)
 
+    def test_reached_is_the_general_states_escort_data(self, case):
+        c, (split, general) = case
+        assert split.reached is None
+        assert all(type(x) is float for x in general.reached)
+        gap = max(abs(x - t) for x, t in zip(general.reached, (c.b_q, c.sigma2_q)))
+        assert gap == general.constraint_residual
+
 
 class TestCompareStates:
     def test_identical(self):
