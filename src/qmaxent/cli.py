@@ -84,9 +84,9 @@ def _output(out_path):
 
 
 #: grid cells in a block of whole grid rows (at least one); bounds the scan's scratch arrays
-_BLOCK_CELLS = 1 << 15
-#: largest --grid: one grid row then fits in a block, so every accepted scan's memory is bounded
-_MAX_GRID = _BLOCK_CELLS
+_BLOCK_CELLS = 1 << 14
+#: largest --grid; a block holds one grid row at least, so every accepted scan's memory is bounded
+_MAX_GRID = 32768
 #: a lambda_max whose x*1e9 lies this close to a half-integer is left to _fmt:
 #: the product carries at most 6e-8 of rounding error there, so rint is exact further out
 _TIE_TOL = 1e-6
@@ -102,63 +102,85 @@ def _words(texts):
 
 @functools.cache
 def _word_tables():
-    """The word tables of region_to_csv: group, "000" to "999", then the same with trailing
-    zeros dropped, then "nan"; head, "{feasible}," and then "", "0." or "1" (other cells,
-    fast cells, cells that round to 1), indexed 3*feasible + kind; tail, ",{entangled}\n".
+    """The word tables of region_to_csv's feasible lines: group, "000" to "999", then the same
+    with trailing zeros dropped; head, "1," and then "", "0." or "1" (other cells, fast cells,
+    cells that round to 1); tail, ",{entangled}\n", then the same followed by a row-end mark.
     """
     digits = [f"{g:03d}" for g in range(1000)]
-    group = _words(digits + [d.rstrip("0") for d in digits] + ["nan"]).ravel()
-    head = _words([f"{f},{x}" for f in "01" for x in ("", "0.", "1")]).ravel()
-    tail = _words([f",{e}\n" for e in "01"]).ravel()
+    group = _words(digits + [d.rstrip("0") for d in digits]).ravel()
+    head = _words(["1,", "1,0.", "1,1"]).ravel()
+    tail = _words([f",{e}\n{mark}" for mark in ("", "\x01") for e in "01"]).ravel()
     return group, head, tail
 
 
-@functools.lru_cache(maxsize=1)
-def _axis_words(values: tuple):
-    """The words of "{x}," for each x of a grid axis; every block of a scan has the same b axis."""
-    return _words([f"{_fmt(x)}," for x in values])
+@functools.lru_cache(maxsize=2)
+def _axis(values: tuple):
+    """A grid axis's "{x}," texts as bytes and as words; the cache keeps b's across blocks."""
+    texts = [f"{_fmt(x)}," for x in values]
+    return [t.encode() for t in texts], _words(texts)
 
 
 def region_to_csv(grid: RegionGrid, out) -> None:
     """Write a scan's CSV lines after the header to the binary file out, b varying fastest.
 
-    Byte for byte the text of formatting every cell with _fmt, in one block; the scan
-    command bounds memory by passing blocks of grid rows.  A cell is a row of zero-padded
-    words, zeros then dropped: %.9g of x in [0.1, 1] is "1" when x rounds to 1e9 units of
-    the ninth digit, else "0." and those nine digits without trailing zeros, in three
-    groups of three.  NaN prints "nan"; other values and near ties go through _fmt.
+    Byte for byte the text of formatting every cell with _fmt, in one write; the scan command
+    bounds memory by passing blocks of grid rows.  Each grid row's feasible cells must come
+    first (RegionGrid), else ValueError; its infeasible run, "{b},{sigma2},0,nan,0" lines, is
+    one join over the b axis texts.  A feasible cell is a row of zero-padded words, zeros then
+    dropped: %.9g of x in [0.1, 1] is "1" when x rounds to 1e9 units of the ninth digit, else
+    "0." and those nine digits without trailing zeros, in three groups of three; other values
+    and near ties go through _fmt.  A \x01 ends each row's feasible text.
     """
     import numpy as np
+    n = grid.n
+    feasible = grid.feasible.reshape(-1, n)
+    count = feasible.sum(axis=1)
+    if not np.array_equal(feasible, np.arange(n) < count[:, None]):
+        raise ValueError("a grid row has a feasible cell after an infeasible one")
     group, head, tail = _word_tables()
-    n, lam = grid.n, grid.lambda_max
+    cells = np.flatnonzero(feasible)
+    row, col = np.divmod(cells, n)
+    lam = grid.lambda_max[cells]
     inside = (lam >= 0.1) & (lam <= 1.0)
     y = np.where(inside, lam, 0.0) * 1e9
     fast = inside & (np.abs(y - np.floor(y) - 0.5) > _TIE_TOL)
-    nan = np.isnan(lam)
-    slow = np.flatnonzero(~fast & ~nan)
+    slow = np.flatnonzero(~fast)
     slow_words = _words([_fmt(x) for x in lam[slow].tolist()])
     k = np.rint(np.where(fast, y, 0.0)).astype(np.int64)
     one = k == 10**9
     k[one] = 0
     hi, rest = np.divmod(k, 10**6)
     mid, lo = np.divmod(rest, 1000)
+    kind = grid.entangled[cells].astype(np.intp)
+    kind[np.cumsum(count)[count > 0] - 1] += 2
 
-    b_words = _axis_words(tuple(grid.b_q[:n].tolist()))
-    s2_words = _words([f"{_fmt(x)}," for x in grid.sigma2_q[::n].tolist()])
-    # b_q, | sigma2_q, | feasible,head | three digit groups | ,entangled\n
-    rows, nb, ns = len(s2_words), b_words.shape[1], s2_words.shape[1]
-    at = nb + ns + 1
-    line = np.zeros((rows, n, at + max(3, slow_words.shape[1]) + 1), dtype=np.uint32)
-    line[:, :, :nb] = b_words
-    line[:, :, nb:nb + ns] = s2_words[:, None, :]
-    line = line.reshape(rows * n, -1)
-    line[:, at - 1] = head[3 * grid.feasible + fast + one]
-    line[:, at] = group[np.where(nan, 2000, hi + 1000 * ((mid == 0) & (lo == 0)))]
+    b_texts, b_words = _axis(tuple(grid.b_q[:n].tolist()))
+    s2_texts, s2_words = _axis(tuple(grid.sigma2_q[::n].tolist()))
+    # b_q, | sigma2_q, | 1,head | three digit groups | ,entangled\n and the row-end mark
+    at = b_words.shape[1] + s2_words.shape[1] + 1
+    width = at + max(3, slow_words.shape[1]) + 1
+    buf = bytearray(4 * cells.size * width)
+    line = np.frombuffer(buf, dtype=np.uint32).reshape(cells.size, width)
+    line[:, :b_words.shape[1]] = np.take(b_words, col, axis=0)
+    line[:, b_words.shape[1]:at - 1] = np.take(s2_words, row, axis=0)
+    line[:, at - 1] = head[np.where(one, 2, fast)]
+    line[:, at] = group[hi + 1000 * ((mid == 0) & (lo == 0))]
     line[:, at + 1] = group[mid + 1000 * (lo == 0)]
     line[:, at + 2] = group[lo + 1000]
     line[slow, at:at + slow_words.shape[1]] = slow_words
-    line[:, -1] = tail[grid.entangled.astype(np.intp)]
-    out.write(line.tobytes().translate(None, b"\0"))
+    line[:, -1] = tail[kind]
+    data = buf.translate(None, b"\0")
+    del line, buf
+    view, start, pieces = memoryview(data), 0, []
+    for s2_text, c in zip(s2_texts, count.tolist()):
+        if c:
+            end = data.find(b"\x01", start)
+            pieces.append(view[start:end])
+            start = end + 1
+        if c < n:
+            x = s2_text + b"0,nan,0\n"
+            pieces += (x.join(b_texts[c:]), x)
+    out.write(b"".join(pieces))
 
 
 def _cmd_infer(args):

@@ -48,7 +48,7 @@ class RegionGrid(NamedTuple):
     """Rasterized scan of the data domain, row-major with b varying fastest.
 
     Infeasible cells (uncertainty relation violated) carry lambda_max = nan
-    and entangled = False.
+    and entangled = False.  Each grid row's feasible cells come first, as b rises along it.
     """
 
     q: float

@@ -195,7 +195,7 @@ def escort_map(w, q: float):
             x_sum += qexpm1_scaled(x, a - top, e)
         else:
             roots.append(0.0)
-    ln_wz = -qlog1p(x_sum, e)  # ln Z_q + a*, which keeps its accuracy however small q is
+    ln_wz = 0.0 - qlog1p(x_sum, e)  # ln Z_q + a*, accurate however small q is; +0 if pure
     return roots, ln_wz - top, ln_wz
 
 

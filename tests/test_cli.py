@@ -417,6 +417,13 @@ class TestVerify:
         assert cli.run(["verify", "--q", "3", "--b", "2.8284271247461903", "--sigma2", "8",
                         "--oracle", "general"]) == 0
 
+    def test_split_entropy_at_the_pure_corner_is_plus_zero(self, capsys):
+        # ln Z_q was -qlog1p(0.0) = -0.0 there, and printed achieved_entropy = -0
+        for q in ("0.5", "2", "5"):
+            assert cli.run(["verify", "--q", q, "--b", "2.8284271247461903", "--sigma2", "8"]) == 0
+            out = capsys.readouterr().out
+            assert "achieved_entropy = 0\n" in out and "closed_form_entropy = 0\n" in out, q
+
     @pytest.mark.xfail(strict=True, reason="ln Z_q is flat to double precision near the equal "
                        "split at q = 1e-10, so the split search misses it by 3.6e-7")
     def test_split_oracle_passes_at_tiny_q(self):

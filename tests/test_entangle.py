@@ -187,7 +187,7 @@ class TestKernelAgainstScalarPath:
         """The streamed scan, to --out and to stdout, against one full-grid scan formatted per cell."""
         rng = np.random.default_rng(KERNEL_QS.index(q))
         target, blocks = tmp_path / "region.csv", (cli._BLOCK_CELLS, 97)
-        # blocks hold whole grid rows: 200 rows are 163 + 37 at 32768 cells a block;
+        # blocks hold whole grid rows: 200 rows are 81 + 81 + 38 at 16384 cells a block;
         # at 97 cells, sizes below 49 hold several rows a block, and those that
         # 97 // n does not divide end on a shorter one, as 25 rows do (3 a block, 1 last)
         for n in (2, 3, 25, 100, 200, *rng.integers(3, 90, size=3).tolist()):
@@ -199,6 +199,31 @@ class TestKernelAgainstScalarPath:
                 assert target.read_bytes() == want, (block_cells, n)
                 assert cli.run(argv) == 0
                 assert capsysbinary.readouterr().out == want, (block_cells, n)
+
+    @pytest.mark.parametrize("q", ("0.5", "2.0", "5.0"))
+    def test_benchmark_scans_match_per_cell_formatting(self, q, tmp_path):
+        """The scans the benchmark times: grid 400 at the default block size."""
+        target = tmp_path / "region.csv"
+        assert cli.run(["scan", "--grid", "400", "--q", q, "--out", str(target)]) == 0
+        assert target.read_bytes() == _per_cell_csv(scan_region(float(q), 400)).encode()
+
+    def test_csv_needs_each_rows_feasible_cells_first(self):
+        g = scan_region(2.0, 6)
+        feasible = g.feasible.copy()
+        assert feasible[6:12].tolist() == [True, True, False, False, False, False]
+        feasible[9] = True  # row 1 now has a feasible cell after its infeasible cell 8
+        out = io.BytesIO()
+        with pytest.raises(ValueError, match="feasible cell after an infeasible one"):
+            region_to_csv(g._replace(feasible=feasible), out)
+        assert out.getvalue() == b""
+
+    @pytest.mark.parametrize("q", (0.5, 2.0))
+    def test_csv_of_smallest_grid_and_of_a_fully_feasible_last_row(self, q):
+        # the top row, sigma2 = 8, is feasible throughout, so its block has no infeasible run
+        n = 7
+        for g in (scan_region(q, 2), scan_region(q, n, slice(n - 3, n))):
+            assert g.feasible[-g.n:].all()
+            assert _csv(g) == _per_cell_csv(g).encode()
 
     def test_csv_of_forced_lambda_max_matches_per_cell_formatting(self, monkeypatch):
         half = [(k + 0.5) / 1e9 for k in (100_000_000, 249_999_999, 250_000_000, 333_333_333,
