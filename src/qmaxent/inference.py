@@ -64,9 +64,10 @@ def qexpm1(a, t):
 
 def qexpm1_scaled(w: float, a: float, t: float) -> float:
     """w*qexpm1(a, t) for a float w > 0, as exp(ln w + a*t)*qexpm1(a, -t) where a*t > 0."""
-    if a * t > 0.0:
-        return math.exp(math.log(w) + a * t) * qexpm1(a, -t)
-    return w * qexpm1(a, t)
+    x = a * t
+    if x > 0.0:
+        return math.exp(math.log(w) + x) * (math.expm1(-x) / -t)
+    return w * (math.expm1(x) / t) if t else w * a
 
 
 def qlog1p(x, t):
@@ -113,7 +114,7 @@ class ConstraintSet(NamedTuple("ConstraintSet", [("q", float), ("b_q", float),
 
 def validate_constraints(q: float, b: float, s2: float) -> ConstraintSet:
     """Validate raw data, raising a typed error naming the violated inequality."""
-    return ConstraintSet(q=float(q), b_q=float(b), sigma2_q=float(s2))
+    return ConstraintSet(float(q), float(b), float(s2))
 
 
 class EscortWeights(NamedTuple):
@@ -141,11 +142,8 @@ def escort_weights(c: ConstraintSet) -> EscortWeights:
     and a w_plus the slack lifts above 1 is clamped to exact one.
     """
     t = B_MAX * max(c.b_q, 0.0)
-    return EscortWeights(
-        w_plus=_clamp01((c.sigma2_q + t) / 16.0),
-        w_minus=_clamp01((c.sigma2_q - t) / 16.0),
-        w_zero=_clamp01((8.0 - c.sigma2_q) / 16.0),
-    )
+    return EscortWeights(_clamp01((c.sigma2_q + t) / 16.0), _clamp01((c.sigma2_q - t) / 16.0),
+                         _clamp01((8.0 - c.sigma2_q) / 16.0))
 
 
 class InferredState(NamedTuple):
@@ -209,11 +207,8 @@ def infer_state(c: ConstraintSet) -> InferredState:
     q = c.q
     (yp, ym, y0, _), ln_z, ln_wz = escort_map(w.as_tuple(), q)
     y_norm = yp + ym + 2.0 * y0
-    return InferredState(
-        constraints=c, weights=w,
-        eig_phi_plus=yp / y_norm, eig_psi_minus=ym / y_norm, eig_deg=y0 / y_norm,
-        Z_q=math.exp(ln_z), c_q=math.exp((1.0 - q) * ln_z), ln_wz=ln_wz,
-    )
+    return InferredState(c, w, yp / y_norm, ym / y_norm, y0 / y_norm,
+                         math.exp(ln_z), math.exp((1.0 - q) * ln_z), ln_wz)
 
 
 class SpectrumBatch(NamedTuple):
@@ -302,28 +297,24 @@ def lagrange_multipliers(s: InferredState) -> Multipliers:
         lambda_1 = c_q * (mu(w_minus) - mu(w_plus)) / (4*sqrt(2)*(1-q))
         lambda_2 = c_q * (mu(w_zero) - mu(w_plus)) / (8*(1-q)) - sqrt(2)/4 * lambda_1
     """
-    return Multipliers(*_multipliers(s.constraints, s.weights, s.c_q, s.ln_wz))
-
-
-def _multipliers(c: ConstraintSet, w: EscortWeights, c_q: float, ln_wz: float):
-    """lagrange_multipliers as (lambda_1, lambda_2) from the state's weights, c_q and ln_wz."""
+    q, b, s2 = s.constraints
+    w, ln_wz = s.weights, s.ln_wz
     if min(w) <= BOUNDARY_TOL:
         raise BoundaryDivergence(
             "Lagrange multipliers diverge: data sit on the boundary of the domain "
-            f"(weights {tuple(w)}, sigma2_q={c.sigma2_q})"
+            f"(weights {tuple(w)}, sigma2_q={s2})"
         )
-    q = c.q
     e = (1.0 - q) / q
     d = math.log(w.w_zero / w.w_plus)
     # mu(w) = exp(e*ln(w*Z_q)), where ln(w_max*Z_q) = ln_wz keeps its accuracy as q -> 0, as in
     # mu_factors; w_max is w_zero where d > 0, else w_plus
     mu = math.exp(e * (ln_wz - d if d > 0.0 else ln_wz))
     # ln(w_minus/w_plus) from the data: w_plus - w_minus = 2*sqrt(2)*b_q/8 cancels as b_q -> 0
-    g = mu * qexpm1(math.log1p(-B_MAX * max(c.b_q, 0.0) / (8.0 * w.w_plus)), e) / (2.0 * B_MAX * q)
+    g = mu * qexpm1(math.log1p(-B_MAX * max(b, 0.0) / (8.0 * w.w_plus)), e) / (2.0 * B_MAX * q)
     # mu(w_zero) - mu(w_plus) over e, factored on mu(w_max) so that expm1 cannot overflow
     step = math.exp(e * ln_wz) * qexpm1(d, -e) if d > 0.0 else mu * qexpm1(d, e)
     # c_q multiplies last, so a multiplier that underflows keeps its sign
-    return c_q * g, c_q * (step / (8.0 * q) - B_MAX * g / 8.0)
+    return Multipliers(s.c_q * g, s.c_q * (step / (8.0 * q) - B_MAX * g / 8.0))
 
 
 def fixed_point_residual(s: InferredState, m: Multipliers) -> float:

@@ -3,8 +3,8 @@
 The entropy of an inferred state is S_q = (Z_q**(1-q) - 1)/(1-q), the
 multipliers are its gradient with respect to the data, and
 F_q = lambda_1 * b_q + lambda_2 * sigma2_q - S_q plays the role of a free
-energy.  The Legendre structure is checked numerically: central differences
-of S_q against the analytic multipliers, and the differential identity
+energy.  The Legendre structure is checked numerically on fifteen inferred
+states: central differences of S_q against the analytic multipliers, and
 dF = b_q dlambda_1 + sigma2_q dlambda_2 along a short feasible path.
 """
 
@@ -19,10 +19,8 @@ from .inference import (
     ConstraintSet,
     InferredState,
     Multipliers,
-    _multipliers,
-    escort_map,
-    escort_weights,
     infer_state,
+    lagrange_multipliers,
     qexpm1,
     validate_constraints,
 )
@@ -50,14 +48,9 @@ class ThermoPoint(NamedTuple):
 def free_energy(s: InferredState) -> ThermoPoint:
     """Free energy at an interior point; diverging multipliers propagate."""
     entropy = entropy_of_state(s)
-    value, lam1, lam2 = _free_energy(s.constraints, s.weights, s.c_q, s.ln_wz, entropy)
-    return ThermoPoint(S_q=entropy, F_q=value, multipliers=Multipliers(lam1, lam2))
-
-
-def _free_energy(c, w, c_q, ln_wz, entropy):
-    """free_energy as (F_q, lambda_1, lambda_2) from the state's weights, c_q, ln_wz and S_q."""
-    lam1, lam2 = _multipliers(c, w, c_q, ln_wz)
-    return lam1 * c.b_q + lam2 * c.sigma2_q - entropy, lam1, lam2
+    m = lagrange_multipliers(s)
+    c = s.constraints
+    return ThermoPoint(entropy, m.lambda_1 * c.b_q + m.lambda_2 * c.sigma2_q - entropy, m)
 
 
 class LegendreReport(NamedTuple):
@@ -68,17 +61,6 @@ class LegendreReport(NamedTuple):
     rel_err_1: float
     rel_err_2: float
     path_residual: float
-
-
-def _point(q, b, s2):
-    """(c, w, c_q, ln_wz, S_q) at a stencil point, as infer_state and entropy_of_state give them."""
-    try:
-        c = validate_constraints(q, b, s2)
-    except ConstraintError as exc:
-        raise StencilOutOfDomain(f"stencil point (b={b}, sigma2={s2}) infeasible: {exc}") from exc
-    w = escort_weights(c)
-    _, ln_z, ln_wz = escort_map(w.as_tuple(), q)
-    return c, w, math.exp((1.0 - q) * ln_z), ln_wz, qexpm1(math.log(math.exp(ln_z)), 1.0 - q)
 
 
 def legendre_report(c: ConstraintSet, h: float = 1e-5) -> LegendreReport:
@@ -96,17 +78,25 @@ def legendre_report(c: ConstraintSet, h: float = 1e-5) -> LegendreReport:
     if not 1e-8 <= h <= 1e-3:
         raise ValueError(f"finite-difference step must lie in [1e-8, 1e-3], got {h}")
     q, b, s2 = c
-    centre = _free_energy(*_point(q, b, s2))
-    _, lam1, lam2 = centre
-    s_bp, s_bm, s_sp, s_sm = [_point(q, b + db, s2 + ds)[4]
+
+    def state(b, s2):
+        try:
+            return infer_state(validate_constraints(q, b, s2))
+        except ConstraintError as exc:
+            raise StencilOutOfDomain(
+                f"stencil point (b={b}, sigma2={s2}) infeasible: {exc}") from exc
+
+    centre = free_energy(state(b, s2))
+    lam1, lam2 = centre.multipliers
+    s_bp, s_bm, s_sp, s_sm = [entropy_of_state(state(b + db, s2 + ds))
                               for db, ds in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))]
     d_s_db, d_s_ds2 = (s_bp - s_bm) / (2.0 * h), (s_sp - s_sm) / (2.0 * h)
     # path point k = 0 is the centre itself, since b + 0*h == b
     path = [(b + k * h, s2 + k * h) for k in range(11)]
-    points = [centre] + [_free_energy(*_point(q, *p)) for p in path[1:]]
+    points = [centre] + [free_energy(state(*p)) for p in path[1:]]
     residual = 0.0
     for k in range(10):
-        (f0, l10, l20), (f1, l11, l21) = points[k], points[k + 1]
+        (_, f0, (l10, l20)), (_, f1, (l11, l21)) = points[k], points[k + 1]
         (b0, s0), (b1, s1) = path[k], path[k + 1]
         df = f1 - f0
         predicted = 0.5 * (b0 + b1) * (l11 - l10) + 0.5 * (s0 + s1) * (l21 - l20)

@@ -171,6 +171,23 @@ class TestLegendreReport:
                                        f"infeasible: {cause.value}")
             assert type(info.value.__cause__) is type(cause.value)
 
+    def test_builds_each_state_once(self, monkeypatch):
+        # the centre, four stencil points and ten path points: one infer_state call each
+        import qmaxent.thermo as thermo
+        seen = []
+
+        def counting(c):
+            seen.append((c.b_q, c.sigma2_q))
+            return infer_state(c)
+
+        monkeypatch.setattr(thermo, "infer_state", counting)
+        b, s2, h = 1.0, 6.0, 1e-5
+        legendre_report(validate_constraints(2.0, b, s2), h=h)
+        stencil = {(b + h, s2), (b - h, s2), (b, s2 + h), (b, s2 - h)}
+        path = {(b + k * h, s2 + k * h) for k in range(11)}
+        assert len(seen) == 15
+        assert set(seen) == stencil | path
+
     def test_step_validation(self):
         c = validate_constraints(2.0, 1.0, 6.0)
         for h in (1e-9, 1e-2):
